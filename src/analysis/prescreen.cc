@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -30,20 +29,24 @@ namespace
  * A bounded set of 64-bit values: either an explicit sorted set of at
  * most Cap values, or Top (any value).  The abstraction is a plain
  * powerset domain with a cardinality widening, so every operation is
- * a sound over-approximation of the concrete operation.
+ * a sound over-approximation of the concrete operation.  The values
+ * live inline: the fixpoint copies and joins register files per
+ * instruction, and a heap-backed set made that allocation-bound.
  */
 struct ValSet
 {
     static constexpr size_t Cap = 24;
 
     bool top = false;
-    std::vector<Value> vals; ///< sorted, unique; empty+!top = bottom
+    uint8_t len = 0; ///< explicit values; 0 and !top = bottom
+    std::array<Value, Cap> vals{}; ///< sorted, unique in [0, len)
 
     static ValSet
     singleton(Value v)
     {
         ValSet s;
-        s.vals.push_back(v);
+        s.vals[0] = v;
+        s.len = 1;
         return s;
     }
 
@@ -55,45 +58,61 @@ struct ValSet
         return s;
     }
 
-    bool isSingleton() const { return !top && vals.size() == 1; }
+    const Value *begin() const { return vals.data(); }
+    const Value *end() const { return vals.data() + len; }
+
+    bool isSingleton() const { return !top && len == 1; }
 
     bool
     contains(Value v) const
     {
-        return top
-            || std::binary_search(vals.begin(), vals.end(), v);
+        return top || std::binary_search(begin(), end(), v);
     }
 
-    void
+    /** Add @p v; true when the set changed. */
+    bool
     add(Value v)
     {
         if (top)
-            return;
-        auto it = std::lower_bound(vals.begin(), vals.end(), v);
-        if (it != vals.end() && *it == v)
-            return;
-        vals.insert(it, v);
-        if (vals.size() > Cap) {
-            top = true;
-            vals.clear();
+            return false;
+        Value *first = vals.data();
+        Value *it = std::lower_bound(first, first + len, v);
+        if (it != first + len && *it == v)
+            return false;
+        if (len == Cap) {
+            top = true; // widening: one value past Cap saturates
+            len = 0;
+            return true;
         }
+        std::copy_backward(it, first + len, first + len + 1);
+        *it = v;
+        ++len;
+        return true;
     }
 
-    void
+    /** Join @p other into this set; true when the set changed. */
+    bool
     join(const ValSet &other)
     {
         if (top)
-            return;
+            return false;
         if (other.top) {
             top = true;
-            vals.clear();
-            return;
+            len = 0;
+            return true;
         }
-        for (Value v : other.vals)
-            add(v);
+        bool changed = false;
+        for (Value v : other)
+            changed |= add(v);
+        return changed;
     }
 
-    bool operator==(const ValSet &other) const = default;
+    bool
+    operator==(const ValSet &other) const
+    {
+        return top == other.top
+            && std::equal(begin(), end(), other.begin(), other.end());
+    }
 };
 
 /** Pointwise map of @p f over @p s (Top maps to Top). */
@@ -104,7 +123,7 @@ mapSet(const ValSet &s, F f)
     if (s.top)
         return ValSet::topSet();
     ValSet out;
-    for (Value v : s.vals)
+    for (Value v : s)
         out.add(f(v));
     return out;
 }
@@ -117,8 +136,8 @@ mapSet2(const ValSet &a, const ValSet &b, F f)
     if (a.top || b.top)
         return ValSet::topSet();
     ValSet out;
-    for (Value va : a.vals) {
-        for (Value vb : b.vals) {
+    for (Value va : a) {
+        for (Value vb : b) {
             out.add(f(va, vb));
             if (out.top)
                 return out;
@@ -127,30 +146,44 @@ mapSet2(const ValSet &a, const ValSet &b, F f)
     return out;
 }
 
-bool
-setsOverlap(const ValSet &a, const ValSet &b)
+/**
+ * One thread's registers, renamed onto dense slots: only the registers
+ * its instructions name get an abstract value, so a register file is a
+ * handful of sets rather than isa::NUM_REGS of them.  A register the
+ * thread never names keeps its initial value 0.
+ */
+struct RegSlots
 {
-    if (a.top || b.top)
-        return true; // conservative
-    for (Value v : a.vals)
-        if (b.contains(v))
-            return true;
-    return false;
-}
+    std::array<uint8_t, isa::NUM_REGS> slotOf;
+    size_t count = 0;
 
-/** Abstract register file. */
-using RegState = std::vector<ValSet>;
+    static constexpr uint8_t None = 0xff;
 
-void
-joinInto(std::optional<RegState> &dst, const RegState &src)
-{
-    if (!dst) {
-        dst = src;
-        return;
+    explicit RegSlots(const isa::Program &prog)
+    {
+        slotOf.fill(None);
+        auto name = [&](Reg r) {
+            if (slotOf[size_t(r)] == None)
+                slotOf[size_t(r)] = uint8_t(count++);
+        };
+        for (size_t k = 0; k < prog.size(); ++k) {
+            name(prog[k].dst);
+            name(prog[k].src1);
+            name(prog[k].src2);
+        }
     }
-    for (size_t r = 0; r < src.size(); ++r)
-        (*dst)[r].join(src[r]);
-}
+
+    size_t operator()(Reg r) const { return slotOf[size_t(r)]; }
+};
+
+/** A memory access's abstract address set, in program order. */
+struct MemAccess
+{
+    size_t idx = 0;
+    /** False when no path reaches the access (no address claims). */
+    bool reached = false;
+    ValSet addrs;
+};
 
 /**
  * Per-address universes of values stores can write, iterated to a
@@ -159,30 +192,63 @@ joinInto(std::optional<RegState> &dst, const RegState &src)
  */
 struct Universe
 {
-    std::map<Addr, ValSet> perAddr;
+    std::vector<std::pair<Addr, ValSet>> perAddr; ///< sorted by address
     bool wildStore = false;
     ValSet wildVals;
 
-    bool operator==(const Universe &other) const = default;
+    const ValSet *
+    find(Addr a) const
+    {
+        auto it = std::lower_bound(
+            perAddr.begin(), perAddr.end(), a,
+            [](const auto &e, Addr key) { return e.first < key; });
+        return it != perAddr.end() && it->first == a ? &it->second
+                                                     : nullptr;
+    }
+
+    ValSet &
+    at(Addr a)
+    {
+        auto it = std::lower_bound(
+            perAddr.begin(), perAddr.end(), a,
+            [](const auto &e, Addr key) { return e.first < key; });
+        if (it == perAddr.end() || it->first != a)
+            it = perAddr.insert(it, {a, ValSet{}});
+        return it->second;
+    }
 };
 
+/**
+ * The value fixpoint.  Lives only while PrescreenAnalysis is built:
+ * what outlives it is each memory access's address set (all the SC
+ * delegate reads) and the value-cover verdict.
+ */
 struct ValueAnalysis
 {
     const LitmusTest &test;
     Universe uni;
     bool bailed = false;
+    /** Set by a contribution that grew the universe this round. */
+    bool grew = false;
 
-    /** Abstract register file *before* each instruction (final pass). */
-    std::vector<std::vector<std::optional<RegState>>> before;
-    /** Abstract register file at each thread's exit (final pass). */
-    std::vector<std::optional<RegState>> exit;
+    std::vector<RegSlots> slots;
+    /** Each thread's memory accesses, recorded every round. */
+    std::vector<std::vector<MemAccess>> access;
+    /** Each thread's register file at exit, when a path reaches it. */
+    std::vector<std::vector<ValSet>> exit;
+    std::vector<char> exitReached;
 
-    explicit ValueAnalysis(const LitmusTest &t) : test(t) {}
+    /** Pending register file per instruction, reused across passes. */
+    std::vector<ValSet> pending;
+    std::vector<char> engaged;
 
-    void
-    bail()
+    explicit ValueAnalysis(const LitmusTest &t) : test(t)
     {
-        bailed = true;
+        for (const isa::Program &prog : t.threads)
+            slots.emplace_back(prog);
+        access.resize(t.threads.size());
+        exit.resize(t.threads.size());
+        exitReached.resize(t.threads.size());
     }
 
     /** Values a load with abstract address set @p addrs can observe. */
@@ -192,13 +258,12 @@ struct ValueAnalysis
         if (addrs.top)
             return ValSet::topSet();
         ValSet out;
-        for (Value a : addrs.vals) {
+        for (Value a : addrs) {
             if (a & 7)
                 continue; // no well-formed execution reaches it
             out.add(test.initialMem.load(a));
-            auto it = uni.perAddr.find(a);
-            if (it != uni.perAddr.end())
-                out.join(it->second);
+            if (const ValSet *s = uni.find(a))
+                out.join(*s);
         }
         if (uni.wildStore)
             out.join(uni.wildVals);
@@ -211,9 +276,8 @@ struct ValueAnalysis
     {
         ValSet out;
         out.add(test.initialMem.load(a));
-        auto it = uni.perAddr.find(a);
-        if (it != uni.perAddr.end())
-            out.join(it->second);
+        if (const ValSet *s = uni.find(a))
+            out.join(*s);
         if (uni.wildStore)
             out.join(uni.wildVals);
         return out;
@@ -223,96 +287,122 @@ struct ValueAnalysis
     contributeStore(const ValSet &addrs, const ValSet &data)
     {
         if (addrs.top) {
+            grew |= !uni.wildStore;
             uni.wildStore = true;
-            uni.wildVals.join(data);
+            grew |= uni.wildVals.join(data);
             return;
         }
-        for (Value a : addrs.vals) {
+        for (Value a : addrs) {
             if (a & 7)
                 continue;
-            uni.perAddr[a].join(data);
+            grew |= uni.at(a).join(data);
         }
-    }
-
-    ValSet
-    addrSetOf(const Instruction &in, const RegState &st) const
-    {
-        return mapSet(st[size_t(in.src1)],
-                      [&](Value base) { return in.imm + base; });
     }
 
     /**
      * One abstract pass over thread @p tid, joining over all forward
-     * branch outcomes.  Contributes store values to the universe; when
-     * @p record, also captures per-instruction and exit states.
+     * branch outcomes.  Contributes store values to the universe and
+     * records each memory access's address set and the exit state.
      */
     void
-    interpretThread(int tid, bool record)
+    interpretThread(size_t tid)
     {
-        const isa::Program &prog = test.threads[size_t(tid)];
+        const isa::Program &prog = test.threads[tid];
+        const RegSlots &rs = slots[tid];
         const size_t n = prog.size();
-        std::vector<std::optional<RegState>> pending(n + 1);
-        pending[0] = RegState(isa::NUM_REGS, ValSet::singleton(0));
-        std::optional<RegState> exitState;
+        const size_t w = rs.count;
+        pending.assign((n + 1) * w, ValSet{});
+        engaged.assign(n + 1, 0);
+        auto state = [&](size_t k) { return pending.data() + k * w; };
+        auto joinInto = [&](size_t k, const ValSet *src) {
+            ValSet *dst = state(k);
+            if (!engaged[k]) {
+                std::copy(src, src + w, dst);
+                engaged[k] = 1;
+                return;
+            }
+            for (size_t r = 0; r < w; ++r)
+                dst[r].join(src[r]);
+        };
+        std::fill(state(0), state(0) + w, ValSet::singleton(0));
+        engaged[0] = 1;
+
+        std::vector<MemAccess> &acc = access[tid];
+        acc.clear();
+        std::vector<ValSet> &exitState = exit[tid];
+        exitReached[tid] = 0;
+        auto joinExit = [&](const ValSet *src) {
+            if (!exitReached[tid]) {
+                exitState.assign(src, src + w);
+                exitReached[tid] = 1;
+                return;
+            }
+            for (size_t r = 0; r < w; ++r)
+                exitState[r].join(src[r]);
+        };
 
         for (size_t k = 0; k < n && !bailed; ++k) {
-            if (record)
-                before[size_t(tid)][k] = pending[k];
-            if (!pending[k])
-                continue; // statically unreachable
-            RegState st = *pending[k];
             const Instruction &in = prog[k];
+            if (!engaged[k]) {
+                if (in.isMem())
+                    acc.push_back({k, false, ValSet{}});
+                continue; // statically unreachable
+            }
+            // Updated in place: no later instruction reads state k.
+            ValSet *st = state(k);
+            auto addrSet = [&] {
+                return mapSet(st[rs(in.src1)],
+                              [&](Value base) { return in.imm + base; });
+            };
+            if (in.isMem())
+                acc.push_back({k, true, addrSet()});
             bool fallThrough = true;
 
             auto branchTo = [&](int64_t target) {
                 if (target <= int64_t(k) || target > int64_t(n)) {
-                    bail(); // engines require strictly forward targets
+                    bailed = true; // engines require forward targets
                     return;
                 }
-                joinInto(pending[size_t(target)], st);
+                joinInto(size_t(target), st);
             };
 
             if (in.isRegToReg() || in.op == Opcode::LI) {
-                ValSet v = mapSet2(st[size_t(in.src1)],
-                                   st[size_t(in.src2)],
-                                   [&](Value a, Value b) {
-                                       return isa::evalRegToReg(in, a,
-                                                                b);
-                                   });
-                st[size_t(in.dst)] = std::move(v);
+                st[rs(in.dst)] = mapSet2(
+                    st[rs(in.src1)], st[rs(in.src2)],
+                    [&](Value a, Value b) {
+                        return isa::evalRegToReg(in, a, b);
+                    });
             } else if (in.op == Opcode::LD) {
-                st[size_t(in.dst)] = loadFrom(addrSetOf(in, st));
+                st[rs(in.dst)] = loadFrom(acc.back().addrs);
             } else if (in.op == Opcode::ST) {
-                contributeStore(addrSetOf(in, st), st[size_t(in.src2)]);
+                contributeStore(acc.back().addrs, st[rs(in.src2)]);
             } else if (in.isRmw()) {
-                const ValSet addrs = addrSetOf(in, st);
+                const ValSet &addrs = acc.back().addrs;
                 const ValSet loaded = loadFrom(addrs);
                 const ValSet stored =
-                    mapSet2(loaded, st[size_t(in.src2)],
+                    mapSet2(loaded, st[rs(in.src2)],
                             [&](Value old_v, Value s2) {
                                 return isa::evalRmwStored(in, old_v,
                                                           s2);
                             });
                 contributeStore(addrs, stored);
-                st[size_t(in.dst)] = loaded;
+                st[rs(in.dst)] = loaded;
             } else if (in.isCondBranch()) {
                 branchTo(in.imm); // both directions stay joined
             } else if (in.op == Opcode::JMP) {
                 branchTo(in.imm);
                 fallThrough = false;
             } else if (in.op == Opcode::HALT) {
-                joinInto(exitState, st);
+                joinExit(st);
                 fallThrough = false;
             }
             // NOP and FENCE leave the register file untouched.
 
             if (fallThrough)
-                joinInto(pending[k + 1], st);
+                joinInto(k + 1, st);
         }
-        if (pending[n])
-            joinInto(exitState, *pending[n]);
-        if (record)
-            exit[size_t(tid)] = std::move(exitState);
+        if (engaged[n])
+            joinExit(state(n));
     }
 
     /** @return false when the analysis bailed (make no claims). */
@@ -321,21 +411,19 @@ struct ValueAnalysis
     {
         const size_t nthreads = test.threads.size();
         // Universes only grow and saturate at Cap values per address;
-        // the loop terminates long before the safety bound.
-        for (int round = 0; round < 100 && !bailed; ++round) {
-            const Universe snapshot = uni;
+        // the loop terminates long before the safety bound.  Every
+        // pass records, so the round that changes nothing -- every
+        // thread saw the final universe -- leaves the final states.
+        bool stable = false;
+        for (int round = 0; round < 100 && !bailed && !stable; ++round) {
+            grew = false;
             for (size_t tid = 0; tid < nthreads; ++tid)
-                interpretThread(int(tid), false);
-            if (uni == snapshot)
-                break;
+                interpretThread(tid);
+            stable = !grew;
         }
-        if (bailed)
-            return false;
-        before.assign(nthreads, {});
-        exit.assign(nthreads, std::nullopt);
-        for (size_t tid = 0; tid < nthreads; ++tid) {
-            before[tid].assign(test.threads[tid].size(), std::nullopt);
-            interpretThread(int(tid), true);
+        if (!stable && !bailed) {
+            for (size_t tid = 0; tid < nthreads; ++tid)
+                interpretThread(tid);
         }
         return !bailed;
     }
@@ -356,11 +444,14 @@ valueCoverForbidden(const ValueAnalysis &va)
             || rc.reg < 0 || rc.reg >= isa::NUM_REGS) {
             return std::nullopt; // malformed; let the engine assert
         }
-        const auto &ex = va.exit[size_t(rc.tid)];
-        if (!ex)
-            continue;
-        const ValSet &s = (*ex)[size_t(rc.reg)];
-        if (!s.contains(rc.value)) {
+        if (!va.exitReached[size_t(rc.tid)])
+            continue; // no path reaches the thread's exit
+        const std::vector<ValSet> &ex = va.exit[size_t(rc.tid)];
+        const size_t slot = va.slots[size_t(rc.tid)](rc.reg);
+        const bool holds = slot == RegSlots::None
+            ? rc.value == 0 // never named: keeps its initial 0
+            : ex[slot].contains(rc.value);
+        if (!holds) {
             std::ostringstream os;
             os << "no execution can leave "
                << isa::regName(rc.reg) << " of thread " << rc.tid
@@ -420,28 +511,33 @@ computeFlow(const isa::Program &prog, size_t limit)
     return info;
 }
 
+/** Each thread's memory accesses in program order (see MemAccess). */
+using AccessTable = std::vector<std::vector<MemAccess>>;
+
 struct DelegateChecker
 {
-    const ValueAnalysis &va;
+    const LitmusTest &test;
+    const AccessTable &access;
     const ModelKind model;
 
-    bool
-    sameSingletonAddr(const ValSet &a, const ValSet &b) const
+    static bool
+    sameSingletonAddr(const ValSet &a, const ValSet &b)
     {
         return a.isSingleton() && b.isSingleton()
             && a.vals[0] == b.vals[0];
     }
 
     /**
-     * Is the po-adjacent memory pair (i, j) of a branchless thread
-     * provably preserved program order under the model?  @p addrs
-     * holds each memory instruction's abstract address set.
+     * Is the po-adjacent memory pair (mems[p], mems[p + 1]) of a
+     * branchless thread provably preserved program order under the
+     * model?  @p mems holds the thread's executed memory accesses.
      */
     bool
     pairPreserved(const isa::Program &prog, const FlowInfo &flow,
-                  const std::map<size_t, ValSet> &addrs, size_t i,
-                  size_t j) const
+                  const std::vector<MemAccess> &mems, size_t p) const
     {
+        const size_t i = mems[p].idx;
+        const size_t j = mems[p + 1].idx;
         const Instruction &a = prog[i];
         const Instruction &b = prog[j];
 
@@ -461,8 +557,8 @@ struct DelegateChecker
         }
 
         // GAM0 / GAM Definition 6 cases.
-        const ValSet &addrA = addrs.at(i);
-        const ValSet &addrB = addrs.at(j);
+        const ValSet &addrA = mems[p].addrs;
+        const ValSet &addrB = mems[p + 1].addrs;
         // SAMemSt: a store after an older same-address access.
         if (b.isStore() && sameSingletonAddr(addrA, addrB))
             return true;
@@ -473,51 +569,17 @@ struct DelegateChecker
         // AddrSt: a store after the address producers of any older
         // memory access.
         if (b.isStore() && a.isLoad()) {
-            for (const auto &[m, unused] : addrs) {
-                (void)unused;
-                if (m < j && flow.addrFlow[m].count(i))
+            for (size_t q = 0; q <= p; ++q)
+                if (flow.addrFlow[mems[q].idx].count(i))
                     return true;
-            }
         }
-        // SAStLd: a load after the address/data producers of the
-        // immediately preceding same-address store.
-        if (b.isLoad() && a.isLoad()) {
-            for (const auto &[s, saddr] : addrs) {
-                if (s <= i || s >= j || !prog[s].isStore())
-                    continue;
-                if (!sameSingletonAddr(saddr, addrB))
-                    continue;
-                if (!flow.addrFlow[s].count(i)
-                    && !flow.dataFlow[s].count(i)) {
-                    continue;
-                }
-                bool shielded = false;
-                for (const auto &[t, taddr] : addrs) {
-                    if (t > s && t < j && prog[t].isStore()
-                        && setsOverlap(taddr, saddr)) {
-                        shielded = true;
-                        break;
-                    }
-                }
-                if (!shielded)
-                    return true;
-            }
-        }
-        // SALdLd (GAM only): consecutive same-address loads with no
-        // same-address store between.
+        // SALdLd (GAM only): same-address loads with no same-address
+        // store between -- a po-adjacent pair has no access between it
+        // at all.  (SAStLd orders a load after a same-address store
+        // between the two loads, so it never applies to such a pair.)
         if (model == ModelKind::GAM && a.isLoad() && b.isLoad()
-            && sameSingletonAddr(addrA, addrB)) {
-            bool shielded = false;
-            for (const auto &[t, taddr] : addrs) {
-                if (t > i && t < j && prog[t].isStore()
-                    && setsOverlap(taddr, addrA)) {
-                    shielded = true;
-                    break;
-                }
-            }
-            if (!shielded)
-                return true;
-        }
+            && sameSingletonAddr(addrA, addrB))
+            return true;
         return false;
     }
 
@@ -528,7 +590,7 @@ struct DelegateChecker
     bool
     delegates() const
     {
-        const LitmusTest &test = va.test;
+        std::vector<MemAccess> mems;
         for (size_t tid = 0; tid < test.threads.size(); ++tid) {
             const isa::Program &prog = test.threads[tid];
             // Scan the whole program: a branch can jump over a HALT,
@@ -555,24 +617,18 @@ struct DelegateChecker
                     break;
                 }
             }
-            std::map<size_t, ValSet> addrs;
-            std::vector<size_t> mems;
-            for (size_t k = 0; k < limit; ++k) {
-                if (!prog[k].isMem())
-                    continue;
-                const auto &st = va.before[tid][k];
-                if (!st)
+            mems.clear();
+            for (const MemAccess &m : access[tid]) {
+                if (m.idx >= limit)
+                    break;
+                if (!m.reached)
                     return false; // unreachable state: be conservative
-                addrs.emplace(k, va.addrSetOf(prog[k], *st));
-                mems.push_back(k);
+                mems.push_back(m);
             }
             const FlowInfo flow = computeFlow(prog, limit);
-            for (size_t t = 0; t + 1 < mems.size(); ++t) {
-                if (!pairPreserved(prog, flow, addrs, mems[t],
-                                   mems[t + 1])) {
+            for (size_t p = 0; p + 1 < mems.size(); ++p)
+                if (!pairPreserved(prog, flow, mems, p))
                     return false;
-                }
-            }
         }
         return true;
     }
@@ -593,28 +649,31 @@ prescreenVerdictName(PrescreenVerdict verdict)
 
 struct PrescreenAnalysis::Impl
 {
-    /** The value fixpoint; disengaged when it bailed (no claims). */
-    std::optional<ValueAnalysis> va;
+    /** False when the value fixpoint bailed (no claims). */
+    bool analysed = false;
+    /** Each memory access's address set: all screen() reads. */
+    AccessTable access;
     /** The model-independent verdict: Forbidden or Unknown. */
     PrescreenResult base;
 };
 
 PrescreenAnalysis::PrescreenAnalysis(const LitmusTest &test)
-    : impl(std::make_unique<Impl>())
+    : test(test), impl(std::make_unique<Impl>())
 {
     if (test.threads.empty())
         return;
-    impl->va.emplace(test);
-    if (!impl->va->run()) {
-        impl->va.reset();
+    ValueAnalysis va(test);
+    if (!va.run())
         return;
-    }
+    impl->analysed = true;
     if (!test.regCond.empty() || !test.memCond.empty()) {
-        if (auto why = valueCoverForbidden(*impl->va)) {
+        if (auto why = valueCoverForbidden(va)) {
             impl->base.verdict = PrescreenVerdict::Forbidden;
             impl->base.detail = *why;
         }
     }
+    // The exit states and the universe die with the fixpoint.
+    impl->access = std::move(va.access);
 }
 
 PrescreenAnalysis::~PrescreenAnalysis() = default;
@@ -623,12 +682,12 @@ PrescreenResult
 PrescreenAnalysis::screen(ModelKind model) const
 {
     PrescreenResult result = impl->base;
-    if (!impl->va || result.verdict == PrescreenVerdict::Forbidden)
+    if (!impl->analysed || result.verdict == PrescreenVerdict::Forbidden)
         return result;
 
     if (model == ModelKind::TSO || model == ModelKind::GAM0
         || model == ModelKind::GAM) {
-        DelegateChecker checker{*impl->va, model};
+        DelegateChecker checker{test, impl->access, model};
         if (checker.delegates()) {
             result.verdict = PrescreenVerdict::ScEquivalent;
             result.detail = "every po-adjacent memory pair is "

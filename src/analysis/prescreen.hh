@@ -99,6 +99,7 @@ class PrescreenAnalysis
 
   private:
     struct Impl;
+    const litmus::LitmusTest &test;
     std::unique_ptr<Impl> impl;
 };
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "base/hashing.hh"
@@ -11,6 +12,7 @@
 #include "cat/rel.hh"
 #include "isa/semantics.hh"
 #include "model/ppo.hh"
+#include "obs/registry.hh"
 #include "obs/trace.hh"
 
 namespace gam::axiomatic
@@ -24,6 +26,173 @@ using model::StoreId;
 
 namespace
 {
+
+/**
+ * ppo of one committed trace as pairs of the thread's memory accesses:
+ * (i, j) orders its i-th memory access before its j-th.  Only these
+ * pairs constrain the memory order, and the candidate's events list a
+ * thread's accesses contiguously in trace order, so an ordinal pair
+ * lands on events by adding the thread's first event index.
+ */
+std::vector<std::pair<uint32_t, uint32_t>>
+memoryPpo(const model::Trace &trace, model::ModelKind model,
+          const model::RfMap *rf)
+{
+    std::vector<uint32_t> ordinal(trace.size(), 0);
+    uint32_t mems = 0;
+    for (size_t k = 0; k < trace.size(); ++k)
+        if (trace[k].isMem())
+            ordinal[k] = mems++;
+    std::vector<std::pair<uint32_t, uint32_t>> out;
+    for (auto [i, j] : model::preservedProgramOrder(trace, model, rf).pairs())
+        if (trace[i].isMem() && trace[j].isMem())
+            out.emplace_back(ordinal[i], ordinal[j]);
+    return out;
+}
+
+/** Why a built-in filter callback rejected. */
+enum class Reject {
+    /** A constraint edge closed a cycle: depends on the lane's ppo. */
+    Cycle,
+    /** C(L) nonempty or broken atomicity: depends on no model. */
+    ModelFree,
+};
+
+/**
+ * What the built-in filter lanes of one pass share.  A solo filter
+ * owns a board with one lane; enumerateModels() hands one board to
+ * every lane of a fused pass.
+ *
+ * Per rf epoch the board holds the model-independent tables every lane
+ * needs: each event's rf source node, each thread's first event and
+ * the hash of each thread's executed shape (and of its rf sources, for
+ * ARM).  Per filter callback it holds each lane's verdict and why the
+ * lanes that rejected did so, which gives two sharing rules.  A lane's
+ * constraint graph is its ppo base plus edges that depend on the
+ * candidate alone, so:
+ *
+ *  - a lane whose base is a superset of a lane that closed a cycle in
+ *    this callback closes one too, and a model-free rejection rejects
+ *    every lane -- either way it rejects at once, without touching
+ *    its closure;
+ *  - a lane whose base equals an earlier lane's has the same verdict
+ *    on every callback of the epoch: it mirrors that lane and keeps no
+ *    closure at all.
+ *
+ * runMulti() calls the live lanes of one callback in lane order and
+ * brackets every round of pushStore() calls with popStore() calls, so
+ * a callback starts whenever the kind changes or the lane index does
+ * not grow.  Outcomes and counters stay exactly the solo run's: only
+ * the work behind each verdict is shared.
+ */
+struct LaneBoard
+{
+    enum class Kind { None, Begin, Push, Pop };
+
+    explicit LaneBoard(size_t lanes)
+        : base(lanes), leader(lanes), verdict(lanes, 1)
+    {}
+
+    /** Note that @p lane is being called for a callback of @p kind. */
+    void
+    enter(Kind kind, size_t lane)
+    {
+        if (kind != current || lane <= lastLane) {
+            modelFree = false;
+            cycled.clear();
+        }
+        current = kind;
+        lastLane = lane;
+    }
+
+    /** Rebuild the per-epoch tables if @p cand starts a new epoch. */
+    void
+    refresh(const CandidateExecution &cand, bool withShapes)
+    {
+        if (valid && epoch == cand.rfEpoch)
+            return;
+        valid = true;
+        epoch = cand.rfEpoch;
+        const size_t n = cand.events.size();
+        const size_t nthreads = cand.traces.size();
+        firstNode.assign(nthreads, 0);
+        srcNode.assign(n, -1);
+        for (size_t v = n; v-- > 0;) {
+            const CandidateEvent &ev = cand.events[v];
+            firstNode[size_t(ev.tid)] = uint32_t(v);
+            if (!ev.isLoad || ev.rf == InitStore)
+                continue;
+            for (size_t s = 0; s < n; ++s) {
+                if (cand.events[s].isStore && cand.events[s].sid == ev.rf) {
+                    srcNode[v] = int(s);
+                    break;
+                }
+            }
+            GAM_ASSERT(srcNode[v] >= 0, "rf store missing");
+        }
+        if (!withShapes)
+            return;
+        shapeKey.assign(nthreads, 0);
+        rfKey.assign(nthreads, 0);
+        for (size_t tid = 0; tid < nthreads; ++tid) {
+            StateHasher shape;
+            for (const model::TraceInstr &ti : *cand.traces[tid]) {
+                const isa::Instruction &in = ti.instr;
+                shape.add(uint64_t(in.op) | uint64_t(in.fence) << 8
+                          | uint64_t(uint16_t(in.dst)) << 16
+                          | uint64_t(uint16_t(in.src1)) << 32
+                          | uint64_t(uint16_t(in.src2)) << 48);
+                shape.add(uint64_t(in.imm));
+                shape.add(ti.isMem() ? uint64_t(ti.addr) + 1 : 0);
+            }
+            shapeKey[tid] = shape.digest();
+        }
+        // The rf half of ARM's key: each thread's loads' sources, in
+        // trace order (events list them that way).
+        for (const CandidateEvent &ev : cand.events) {
+            if (ev.isLoad) {
+                uint64_t &key = rfKey[size_t(ev.tid)];
+                key = hashCombine(key, uint64_t(uint32_t(ev.rf)));
+            }
+        }
+    }
+
+    // ---- per rf epoch, model-independent
+    bool valid = false;
+    uint64_t epoch = 0;
+    /** Per event: the node its load side reads from, -1 = initial. */
+    std::vector<int> srcNode;
+    /** Per thread: the event index of its first memory access. */
+    std::vector<uint32_t> firstNode;
+    /** Per thread: hash of the executed instructions and addresses. */
+    std::vector<uint64_t> shapeKey;
+    /** Per thread: hash of its loads' rf sources. */
+    std::vector<uint64_t> rfKey;
+
+    // ---- per lane, per epoch
+    /** Each lane's ppo base over the events. */
+    std::vector<cat::Rel> base;
+    /** The lane each lane mirrors (itself when it keeps a closure). */
+    std::vector<size_t> leader;
+
+    // ---- per callback
+    Kind current = Kind::None;
+    size_t lastLane = 0;
+    /** Each lane's verdict on the current callback, once called. */
+    std::vector<char> verdict;
+    /** A lane met a model-free rejection in this callback. */
+    bool modelFree = false;
+    /** Lanes that closed a cycle in this callback. */
+    std::vector<size_t> cycled;
+
+    // ---- what the sharing saved, over the board's life
+    /** Callbacks a mirror lane answered from its leader's verdict. */
+    uint64_t mirrored = 0;
+    /** Rejections decided by a subset lane's cycle. */
+    uint64_t supersetRejects = 0;
+    /** Rejections decided by an earlier lane's model-free reject. */
+    uint64_t modelFreeRejects = 0;
+};
 
 /**
  * The hand-coded Figure-15 axioms as an incremental filter.
@@ -41,52 +210,52 @@ namespace
 class BuiltinAxiomFilter final : public IncrementalFilter
 {
   public:
-    BuiltinAxiomFilter(model::ModelKind model, bool enforce_inst_order,
-                       PpoCache *ppo_shapes = nullptr)
+    /** A solo filter: its own board, no ppo cache. */
+    BuiltinAxiomFilter(model::ModelKind model, bool enforce_inst_order)
         : model(model), enforceInstOrder(enforce_inst_order),
-          ppoShapes(ppo_shapes)
+          ownBoard(std::make_unique<LaneBoard>(1)), board(*ownBoard)
+    {}
+
+    /** Lane @p lane of a fused pass sharing @p board and @p ppo_shapes. */
+    BuiltinAxiomFilter(model::ModelKind model, bool enforce_inst_order,
+                       PpoCache *ppo_shapes, LaneBoard &board,
+                       size_t lane)
+        : model(model), enforceInstOrder(enforce_inst_order),
+          ppoShapes(ppo_shapes), board(board), lane(lane)
     {}
 
     bool
     beginRf(const CandidateExecution &cand) override
     {
+        board.enter(LaneBoard::Kind::Begin, lane);
+        board.refresh(cand, ppoShapes != nullptr);
         n = cand.events.size();
-        reach = cat::Rel(n);
-        snapshots.clear();
-        nodeOfStore.clear();
-        for (size_t v = 0; v < n; ++v)
-            if (cand.events[v].isStore)
-                nodeOfStore[cand.events[v].sid] = int(v);
+        depth = 0;
 
-        // ppo projected onto memory events (InstOrder axiom).
+        // ppo projected onto memory events (InstOrder axiom).  Each
+        // thread's ppo is transitively closed and threads share no
+        // events, so the rows go straight into the closure.
+        cat::Rel &mine = board.base[lane];
+        mine.reset(n);
         if (enforceInstOrder) {
             for (size_t tid = 0; tid < cand.traces.size(); ++tid) {
-                const model::Trace &trace = *cand.traces[tid];
-                // Events carry their rf; rebuild the per-trace rf map
-                // ppo computation expects (ARM's SALdLdARM reads it).
-                model::RfMap rfTrace(trace.size(), InitStore);
-                std::map<int, int> nodeAt; // traceIdx -> event index
-                for (size_t v = 0; v < n; ++v) {
-                    const CandidateEvent &ev = cand.events[v];
-                    if (ev.tid != int(tid))
-                        continue;
-                    nodeAt[ev.traceIdx] = int(v);
-                    if (ev.isLoad)
-                        rfTrace[size_t(ev.traceIdx)] = ev.rf;
-                }
-                const std::vector<std::pair<size_t, size_t>> &ppo =
-                    cachedPpoPairs(trace, tid, rfTrace);
-                for (auto [i, j] : ppo) {
-                    auto it1 = nodeAt.find(int(i));
-                    auto it2 = nodeAt.find(int(j));
-                    if (it1 == nodeAt.end() || it2 == nodeAt.end())
-                        continue;
-                    if (!addEdge(size_t(it1->second),
-                                 size_t(it2->second)))
-                        return false;
-                }
+                const uint32_t first = board.firstNode[tid];
+                for (auto [i, j] : ppoPairs(cand, tid))
+                    mine.set(first + i, first + j);
             }
         }
+        board.leader[lane] = lane;
+        for (size_t other = 0; other < lane; ++other) {
+            if (board.leader[other] == other
+                && board.base[other] == mine) {
+                board.leader[lane] = other;
+                ++board.mirrored;
+                return settle(board.verdict[other]);
+            }
+        }
+        if (sharedReject())
+            return false;
+        reach = mine;
 
         // Permutation-independent halves of LoadValue: the rf edge
         // itself, and -- for loads reading the initial memory -- the
@@ -103,26 +272,39 @@ class BuiltinAxiomFilter final : public IncrementalFilter
                     if (!st.isStore || st.addr != ld.addr || s == l)
                         continue;
                     if (poBefore(cand, s, l))
-                        return false; // rejected: C(L) nonempty
+                        return reject(Reject::ModelFree); // C(L) nonempty
                     if (!addEdge(l, s))
-                        return false;
+                        return reject(Reject::Cycle);
                 }
             } else {
-                auto sit = nodeOfStore.find(ld.rf);
-                GAM_ASSERT(sit != nodeOfStore.end(), "rf store missing");
-                const size_t s = size_t(sit->second);
+                const size_t s = size_t(board.srcNode[l]);
                 if (!poBefore(cand, s, l) && !addEdge(s, l))
-                    return false;
+                    return reject(Reject::Cycle);
             }
         }
-        return true;
+        return settle(true);
     }
 
     bool
     pushStore(const CandidateExecution &cand, Addr addr,
               int eventIdx) override
     {
-        snapshots.push_back(reach);
+        board.enter(LaneBoard::Kind::Push, lane);
+        if (board.leader[lane] != lane) {
+            ++board.mirrored;
+            return settle(board.verdict[board.leader[lane]]);
+        }
+        // The closure is snapshotted by the first edge that changes it
+        // (see addEdge()); popStore() restores only what was saved.
+        if (depth == saved.size()) {
+            saved.emplace_back();
+            snapshots.emplace_back();
+        }
+        saved[depth] = false;
+        ++depth;
+        if (sharedReject())
+            return false;
+
         const auto &p = cand.coOrder.at(addr);
         const size_t v = size_t(eventIdx);
 
@@ -130,7 +312,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
         // order.
         if (p.size() >= 2
             && !addEdge(size_t(p[p.size() - 2]), v))
-            return false;
+            return reject(Reject::Cycle);
 
         // Atomicity (Section III-C): an RMW's read source must be its
         // immediate coherence predecessor -- no store may slip between
@@ -138,13 +320,11 @@ class BuiltinAxiomFilter final : public IncrementalFilter
         const CandidateEvent &ev = cand.events[v];
         if (ev.isLoad && ev.isStore) {
             if (ev.rf == InitStore) {
-                if (p.size() != 1)
-                    return false; // something precedes the write
-            } else {
-                auto sit = nodeOfStore.find(ev.rf);
-                GAM_ASSERT(sit != nodeOfStore.end(), "rf store missing");
-                if (p.size() < 2 || p[p.size() - 2] != sit->second)
-                    return false; // read and write not co-adjacent
+                if (p.size() != 1) // something precedes the write
+                    return reject(Reject::ModelFree);
+            } else if (p.size() < 2
+                       || p[p.size() - 2] != board.srcNode[v]) {
+                return reject(Reject::ModelFree); // not co-adjacent
             }
         }
 
@@ -156,28 +336,30 @@ class BuiltinAxiomFilter final : public IncrementalFilter
             if (!ld.isLoad || ld.addr != addr || l == v
                 || ld.rf == InitStore) // handled in beginRf
                 continue;
-            auto sit = nodeOfStore.find(ld.rf);
-            GAM_ASSERT(sit != nodeOfStore.end(), "rf store missing");
-            if (sit->second == eventIdx)
+            const int src = board.srcNode[l];
+            if (src == eventIdx)
                 continue; // stores after the source arrive later
             const bool source_placed_before =
-                std::find(p.begin(), p.end() - 1, sit->second)
-                != p.end() - 1;
+                std::find(p.begin(), p.end() - 1, src) != p.end() - 1;
             if (!source_placed_before)
                 continue;
-            if (poBefore(cand, v, l))
-                return false; // rejected: a newer po-before store
+            if (poBefore(cand, v, l)) // a newer po-before store
+                return reject(Reject::ModelFree);
             if (!addEdge(l, v))
-                return false;
+                return reject(Reject::Cycle);
         }
-        return true;
+        return settle(true);
     }
 
     void
     popStore(const CandidateExecution &, Addr, int) override
     {
-        reach = std::move(snapshots.back());
-        snapshots.pop_back();
+        board.enter(LaneBoard::Kind::Pop, lane);
+        if (board.leader[lane] != lane)
+            return;
+        --depth;
+        if (saved[depth])
+            std::swap(reach, snapshots[depth]);
     }
 
     bool
@@ -195,60 +377,110 @@ class BuiltinAxiomFilter final : public IncrementalFilter
             && cand.events[a].traceIdx < cand.events[b].traceIdx;
     }
 
-    /**
-     * preservedProgramOrder() edges through the shared shape cache
-     * (when the filter was given one): ppo depends on the executed
-     * instruction sequence, the resolved addresses and the thread's
-     * own read-from sources -- never on data values (model/ppo.cc
-     * reads neither TraceInstr::value nor rmwStored) -- so the key
-     * hashes exactly those.  The cache stores the materialized pair
-     * list (the only form beginRf() consumes), so a hit also skips
-     * Relation::pairs().  Without a cache, compute directly: the
-     * un-batched pipeline's cost model is unchanged.
-     */
-    const std::vector<std::pair<size_t, size_t>> &
-    cachedPpoPairs(const model::Trace &trace, size_t tid,
-                   const model::RfMap &rfTrace)
+    /** Record a rejection on the board; always false. */
+    bool
+    reject(Reject why)
     {
+        if (why == Reject::ModelFree)
+            board.modelFree = true;
+        else
+            board.cycled.push_back(lane);
+        return settle(false);
+    }
+
+    /** Publish this lane's verdict on the current callback. */
+    bool
+    settle(bool ok)
+    {
+        board.verdict[lane] = ok;
+        return ok;
+    }
+
+    /**
+     * Does an earlier lane's rejection in this callback decide this
+     * lane's (see LaneBoard)?  Records the verdict when it does.
+     */
+    bool
+    sharedReject()
+    {
+        if (board.modelFree) {
+            ++board.modelFreeRejects;
+            return !settle(false);
+        }
+        for (size_t other : board.cycled) {
+            if (board.base[other].subsetOf(board.base[lane])) {
+                ++board.supersetRejects;
+                return !settle(false);
+            }
+        }
+        return false;
+    }
+
+    /**
+     * Thread @p tid's memory-event ppo pairs (memoryPpo()), through the
+     * shared shape cache when the filter was given one.  ppo depends
+     * on the executed instruction sequence and the resolved addresses,
+     * never on data values (model/ppo.cc reads neither
+     * TraceInstr::value nor rmwStored); only ARM's SALdLdARM also
+     * reads the thread's rf sources, so only ARM's key carries them.
+     * Without a cache, compute directly: the un-batched pipeline's
+     * cost model is unchanged.
+     */
+    const std::vector<std::pair<uint32_t, uint32_t>> &
+    ppoPairs(const CandidateExecution &cand, size_t tid)
+    {
+        const model::Trace &trace = *cand.traces[tid];
+        const bool arm = model == model::ModelKind::ARM;
         if (!ppoShapes) {
-            ppoScratch =
-                model::preservedProgramOrder(trace, model, &rfTrace)
-                    .pairs();
+            model::RfMap rfTrace;
+            if (arm)
+                rfTrace = rfOf(cand, tid);
+            ppoScratch = memoryPpo(trace, model, arm ? &rfTrace : nullptr);
             return ppoScratch;
         }
         StateHasher h;
         h.add(uint64_t(model));
-        h.add(uint64_t(tid));
-        for (const model::TraceInstr &ti : trace) {
-            h.add(uint64_t(ti.instr.op));
-            h.add(uint64_t(ti.instr.dst));
-            h.add(uint64_t(ti.instr.src1));
-            h.add(uint64_t(ti.instr.src2));
-            h.add(uint64_t(ti.instr.imm));
-            h.add(uint64_t(ti.instr.fence));
-            h.add(ti.isMem() ? uint64_t(ti.addr) + 1 : 0);
-        }
-        h.separator();
-        for (model::StoreId s : rfTrace)
-            h.add(uint64_t(uint32_t(s)));
+        h.add(board.shapeKey[tid]);
+        if (arm)
+            h.add(board.rfKey[tid]);
         const uint64_t key = h.digest();
+        // Consecutive rf maps mostly leave a thread's shape alone.
+        if (lastShape.size() <= tid)
+            lastShape.resize(tid + 1, {0, nullptr});
+        if (lastShape[tid].second && lastShape[tid].first == key)
+            return *lastShape[tid].second;
         auto it = ppoShapes->find(key);
         if (it == ppoShapes->end()) {
+            model::RfMap rfTrace;
+            if (arm)
+                rfTrace = rfOf(cand, tid);
             it = ppoShapes
-                     ->emplace(key, model::preservedProgramOrder(
-                                        trace, model, &rfTrace)
-                                        .pairs())
+                     ->emplace(key, memoryPpo(trace, model,
+                                              arm ? &rfTrace : nullptr))
                      .first;
         }
+        lastShape[tid] = {key, &it->second};
         return it->second;
+    }
+
+    /** Thread @p tid's read-from map over its trace (ARM's ppo). */
+    static model::RfMap
+    rfOf(const CandidateExecution &cand, size_t tid)
+    {
+        model::RfMap rf(cand.traces[tid]->size(), InitStore);
+        for (const CandidateEvent &ev : cand.events)
+            if (ev.tid == int(tid) && ev.isLoad)
+                rf[size_t(ev.traceIdx)] = ev.rf;
+        return rf;
     }
 
     /**
      * Add u -> v to the closed reachability relation.  False when the
      * edge closes a cycle (including u == v); the relation is left
      * unchanged in that case only up to the snapshot discipline --
-     * pushStore() snapshots before any mutation, so a failed push is
-     * rolled back wholesale by popStore().
+     * inside a push, the first edge that changes the closure
+     * snapshots it, so a failed push is rolled back wholesale by
+     * popStore().
      */
     bool
     addEdge(size_t u, size_t v)
@@ -257,6 +489,10 @@ class BuiltinAxiomFilter final : public IncrementalFilter
             return false;
         if (reach.test(u, v))
             return true; // already implied
+        if (depth > 0 && !saved[depth - 1]) {
+            snapshots[depth - 1] = reach;
+            saved[depth - 1] = true;
+        }
         for (size_t x = 0; x < n; ++x) {
             if (x != u && !reach.test(x, u))
                 continue;
@@ -268,15 +504,26 @@ class BuiltinAxiomFilter final : public IncrementalFilter
 
     const model::ModelKind model;
     const bool enforceInstOrder;
-    PpoCache *ppoShapes;
-    /** Holds the uncached ppo edges so cachedPpoPairs() can return a
+    PpoCache *ppoShapes = nullptr;
+    std::unique_ptr<LaneBoard> ownBoard;
+    LaneBoard &board;
+    const size_t lane = 0;
+    /** Holds the uncached ppo pairs so ppoPairs() can return a
      *  reference on both paths; valid until the next call. */
-    std::vector<std::pair<size_t, size_t>> ppoScratch;
+    std::vector<std::pair<uint32_t, uint32_t>> ppoScratch;
+    /** Per thread: the last cache key looked up and its entry (cache
+     *  entries never move). */
+    std::vector<std::pair<uint64_t,
+                          const std::vector<std::pair<uint32_t, uint32_t>> *>>
+        lastShape;
 
     size_t n = 0;
     cat::Rel reach;
+    /** Closure snapshots by push depth, kept across epochs. */
     std::vector<cat::Rel> snapshots;
-    std::map<StoreId, int> nodeOfStore;
+    /** Whether the push at each depth snapshotted the closure. */
+    std::vector<char> saved;
+    size_t depth = 0;
 };
 
 } // anonymous namespace
@@ -623,6 +870,37 @@ Checker::enumerateLegacyImpl(const CandidateFilter *accept)
 
 // --------------------------------------------- fused multi-model pass
 
+namespace
+{
+
+/**
+ * Lane order for a fused pass: models whose ppo is usually the smaller
+ * run first, so the lanes that can reuse a weaker lane's verdict (see
+ * LaneBoard) come after it.  Any order is correct; this one shares the
+ * most.
+ */
+int
+ppoRank(model::ModelKind m)
+{
+    switch (m) {
+      case model::ModelKind::GAM0:
+      case model::ModelKind::AlphaStar:
+        return 0;
+      case model::ModelKind::ARM:
+        return 1;
+      case model::ModelKind::GAM:
+      case model::ModelKind::PerLocSC:
+        return 2;
+      case model::ModelKind::TSO:
+        return 3;
+      case model::ModelKind::SC:
+        return 4;
+    }
+    return 5;
+}
+
+} // anonymous namespace
+
 std::vector<litmus::OutcomeSet>
 enumerateModels(CandidateEnumerator &enumerator,
                 const std::vector<model::ModelKind> &models,
@@ -630,15 +908,50 @@ enumerateModels(CandidateEnumerator &enumerator,
                 std::vector<CheckerStats> *stats, PpoCache *ppoShapes)
 {
     GAM_TRACE_SCOPE("axiomatic.enumerate_multi");
+    std::vector<size_t> order(models.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return ppoRank(models[a]) < ppoRank(models[b]);
+    });
+
+    LaneBoard board(models.size());
     std::vector<FilterFactory> factories;
     factories.reserve(models.size());
-    for (model::ModelKind m : models) {
-        factories.push_back([m, enforceInstOrder, ppoShapes] {
+    for (size_t lane = 0; lane < order.size(); ++lane) {
+        const model::ModelKind m = models[order[lane]];
+        factories.push_back([m, enforceInstOrder, ppoShapes, &board,
+                             lane] {
             return std::make_unique<BuiltinAxiomFilter>(
-                m, enforceInstOrder, ppoShapes);
+                m, enforceInstOrder, ppoShapes, board, lane);
         });
     }
-    return enumerator.runMulti(factories, stats);
+    std::vector<CheckerStats> laneStats;
+    std::vector<litmus::OutcomeSet> sets =
+        enumerator.runMulti(factories, &laneStats);
+    static struct
+    {
+        obs::Counter &mirrored =
+            obs::metrics().counter("axiomatic.lanes.mirrored");
+        obs::Counter &supersetRejects =
+            obs::metrics().counter("axiomatic.lanes.superset_rejects");
+        obs::Counter &modelFreeRejects =
+            obs::metrics().counter("axiomatic.lanes.model_free_rejects");
+    } m;
+    m.mirrored.inc(board.mirrored);
+    m.supersetRejects.inc(board.supersetRejects);
+    m.modelFreeRejects.inc(board.modelFreeRejects);
+
+    // Back to the caller's model order.
+    std::vector<litmus::OutcomeSet> out(models.size());
+    std::vector<CheckerStats> outStats(models.size());
+    for (size_t lane = 0; lane < order.size(); ++lane) {
+        out[order[lane]] = std::move(sets[lane]);
+        outStats[order[lane]] = laneStats[lane];
+    }
+    if (stats)
+        *stats = std::move(outStats);
+    return out;
 }
 
 } // namespace gam::axiomatic

@@ -45,6 +45,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,21 +60,24 @@ namespace gam::axiomatic
 {
 
 /**
- * Memoized model::preservedProgramOrder() results -- materialized as
- * their edge lists, which is the only form beginRf() consumes --
- * keyed by a 64-bit hash of (model, thread, executed instruction
- * sequence, resolved addresses, the thread's own read-from sources):
- * every input ppo depends on; data values never reach it
- * (model/ppo.cc).  Across the rf candidates of one enumeration, and
- * across the units of one campaign chunk, the same few thread shapes
- * recur thousands of times, and recomputing their transitive closures
- * (and re-materializing their pair lists) dominates the built-in
+ * Memoized model::preservedProgramOrder() results, materialized as
+ * pairs of one thread's memory accesses ((i, j): its i-th access before
+ * its j-th) -- the only form the built-in filter consumes -- and keyed
+ * by a 64-bit hash of (model, executed instruction sequence, resolved
+ * addresses): every input ppo depends on, since data values never
+ * reach it (model/ppo.cc).  Only ARM's SALdLdARM reads read-from, so
+ * only ARM's key also hashes the thread's rf sources; every other
+ * model's entry serves every rf map of a shape.  Across the rf
+ * candidates of one enumeration, and across the units of one campaign
+ * chunk, the same few thread shapes recur thousands of times, and
+ * recomputing their transitive closures dominated the built-in
  * filter's beginRf().  Owned by the caller (the batched decide
  * pipeline keeps one per batch), single-threaded, unbounded --
  * bounded in practice by the distinct shapes of the batch.
  */
 using PpoCache =
-    std::map<uint64_t, std::vector<std::pair<size_t, size_t>>>;
+    std::unordered_map<uint64_t,
+                       std::vector<std::pair<uint32_t, uint32_t>>>;
 
 /** Axiomatic enumeration for one litmus test under one model. */
 class Checker
@@ -171,8 +175,12 @@ class Checker
  * would produce; @p stats, when given, receives each model's
  * solo-equivalent counters.  @p ppoShapes, when given, memoizes
  * preservedProgramOrder() across the pass (and across passes sharing
- * the cache -- the batched decide pipeline keeps one per batch).  The
- * pass is serial: Options::searchThreads is ignored.
+ * the cache -- the batched decide pipeline keeps one per batch).
+ * Lanes also share work inside the pass: a lane whose ppo is a
+ * superset of one that just closed a cycle rejects at once, and a
+ * lane whose ppo equals an earlier lane's mirrors its verdicts (the
+ * lanes run weakest model first; results come back in @p models
+ * order).  The pass is serial: Options::searchThreads is ignored.
  */
 std::vector<litmus::OutcomeSet>
 enumerateModels(CandidateEnumerator &enumerator,

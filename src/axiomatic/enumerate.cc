@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <set>
 
 #include "base/logging.hh"
@@ -131,7 +132,9 @@ CandidateBuilder::computeStaticFeasibility()
     // Per-site address when it is a function of constants only: such
     // an address is the same in every execution in which the site
     // executes, so a load whose constant address differs from a
-    // store's constant address can never read from it.  Loaded values
+    // store's constant address can never read from it.  `xor r, x, x`
+    // and `sub r, x, x` are 0 even when x was loaded, so an address
+    // behind that dependency idiom stays constant.  Loaded values
     // are unknown, and the walk stops at the first branch whose
     // direction depends on one (everything after keeps an unknown
     // address) -- conservative, but enough to collapse the read-from
@@ -164,9 +167,15 @@ CandidateBuilder::computeStaticFeasibility()
             const Instruction &in = prog[idx];
             if (in.isRegToReg()) {
                 auto a = get(in.src1), b = get(in.src2);
-                set(in.dst, a && b
-                    ? std::optional(isa::evalRegToReg(in, *a, *b))
-                    : std::nullopt);
+                if (in.src1 == in.src2
+                    && (in.op == isa::Opcode::XOR
+                        || in.op == isa::Opcode::SUB)) {
+                    set(in.dst, Value{0}); // the zeroing idiom above
+                } else {
+                    set(in.dst, a && b
+                        ? std::optional(isa::evalRegToReg(in, *a, *b))
+                        : std::nullopt);
+                }
             } else if (in.isMem()) {
                 if (auto base = get(in.src1))
                     addrs[idx] = isa::effectiveAddr(in, *base);
@@ -581,13 +590,15 @@ collectCandidateEvents(
     }
 }
 
-void
-recordCandidateOutcome(
-    const litmus::LitmusTest &test,
-    const std::vector<CandidateBuilder::ThreadExec> &exec,
-    const std::vector<CandidateEvent> &events,
-    const std::map<Addr, std::vector<int>> &coOrder,
-    litmus::OutcomeSet &outcomes)
+namespace
+{
+
+/** The observable outcome of one complete candidate. */
+litmus::Outcome
+candidateOutcome(const litmus::LitmusTest &test,
+                 const std::vector<CandidateBuilder::ThreadExec> &exec,
+                 const std::vector<CandidateEvent> &events,
+                 const std::map<Addr, std::vector<int>> &coOrder)
 {
     litmus::Outcome outcome;
     for (auto [tid, reg] : test.observedRegs) {
@@ -603,7 +614,20 @@ recordCandidateOutcome(
         outcome.mem.push_back({a, v});
     }
     outcome.canonicalize();
-    outcomes.insert(outcome);
+    return outcome;
+}
+
+} // anonymous namespace
+
+void
+recordCandidateOutcome(
+    const litmus::LitmusTest &test,
+    const std::vector<CandidateBuilder::ThreadExec> &exec,
+    const std::vector<CandidateEvent> &events,
+    const std::map<Addr, std::vector<int>> &coOrder,
+    litmus::OutcomeSet &outcomes)
+{
+    outcomes.insert(candidateOutcome(test, exec, events, coOrder));
 }
 
 void
@@ -895,6 +919,8 @@ CandidateEnumerator::descendCoherenceMulti(
         const CandidateExecution complete{ctx.events, ctx.coOrder,
                                           ctx.traces, ctx.rfEpoch,
                                           /*complete=*/true};
+        // The leaf's outcome is the same for every lane: build it once.
+        std::optional<litmus::Outcome> outcome;
         for (size_t i = 0; i < nlanes; ++i) {
             if (ctx.dormantAt[i] >= 0)
                 continue;
@@ -902,9 +928,10 @@ CandidateEnumerator::descendCoherenceMulti(
             ++lane.coCandidates;
             if (ctx.filters[i]->accept(complete)) {
                 ++lane.accepted;
-                recordCandidateOutcome(ctx.test, ctx.exec, ctx.events,
-                                       ctx.coOrder,
-                                       (*ctx.outcomes)[i]);
+                if (!outcome)
+                    outcome = candidateOutcome(ctx.test, ctx.exec,
+                                               ctx.events, ctx.coOrder);
+                (*ctx.outcomes)[i].insert(*outcome);
             }
         }
         return;

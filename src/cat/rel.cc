@@ -255,6 +255,16 @@ Rel::addColumn(const EventSet &from, size_t j)
     from.forEach([&](size_t i) { set(i, j); });
 }
 
+bool
+Rel::subsetOf(const Rel &o) const
+{
+    GAM_ASSERT(n_ == o.n_, "Rel universe mismatch");
+    for (size_t k = 0; k < w_.size(); ++k)
+        if (w_[k] & ~o.w_[k])
+            return false;
+    return true;
+}
+
 void
 Rel::orRowInto(size_t src, size_t dst)
 {

@@ -98,6 +98,19 @@ class Rel
 
     size_t universe() const { return n_; }
 
+    /**
+     * Become the empty relation over @p n events, keeping the storage:
+     * a relation rebuilt once per candidate allocates only when the
+     * universe grows.
+     */
+    void
+    reset(size_t n)
+    {
+        n_ = n;
+        wpr_ = (n + 63) / 64;
+        w_.assign(n * wpr_, 0);
+    }
+
     bool
     test(size_t i, size_t j) const
     {
@@ -130,6 +143,9 @@ class Rel
     Rel transitiveClosure() const;
     /** r* (reflexive-transitive closure). */
     Rel reflexiveTransitiveClosure() const;
+
+    /** Is every pair of this relation also in @p o? */
+    bool subsetOf(const Rel &o) const;
 
     /** Is the relation free of (i, i) pairs? */
     bool irreflexive() const;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <unordered_map>
@@ -52,10 +53,111 @@ RunOptions::fingerprint() const
 
 // ------------------------------------------------------------- cache
 
+namespace
+{
+
+/**
+ * A resident decision, packed.  Every outcome of one enumeration
+ * observes the same registers and addresses, so the set is kept as
+ * one observation schema plus the observed values, outcome by
+ * outcome in set order -- one allocation instead of a tree node and
+ * two vectors per outcome.  A set whose outcomes do not share a schema
+ * keeps the full set instead.
+ */
+struct PackedDecision
+{
+    /** Every field but the outcomes. */
+    Decision meta;
+    /**
+     * [count, nregs, nmem, (tid, reg) x nregs, addr x nmem, then
+     * count x (nregs + nmem) values]; empty for an empty set.
+     */
+    std::vector<int64_t> words;
+    /** The outcomes, when they do not share one schema. */
+    std::unique_ptr<litmus::OutcomeSet> full;
+
+    explicit PackedDecision(const Decision &d) : meta(d)
+    {
+        meta.outcomes.clear();
+        const litmus::OutcomeSet &set = d.outcomes;
+        if (set.empty())
+            return;
+        const litmus::Outcome &first = *set.begin();
+        auto sameSchema = [&](const litmus::Outcome &o) {
+            if (o.regs.size() != first.regs.size()
+                || o.mem.size() != first.mem.size())
+                return false;
+            for (size_t i = 0; i < o.regs.size(); ++i)
+                if (o.regs[i].tid != first.regs[i].tid
+                    || o.regs[i].reg != first.regs[i].reg)
+                    return false;
+            for (size_t i = 0; i < o.mem.size(); ++i)
+                if (o.mem[i].addr != first.mem[i].addr)
+                    return false;
+            return true;
+        };
+        if (!std::all_of(set.begin(), set.end(), sameSchema)) {
+            full = std::make_unique<litmus::OutcomeSet>(set);
+            return;
+        }
+        const size_t width = first.regs.size() + first.mem.size();
+        words.reserve(3 + 2 * first.regs.size() + first.mem.size()
+                      + set.size() * width);
+        words.push_back(int64_t(set.size()));
+        words.push_back(int64_t(first.regs.size()));
+        words.push_back(int64_t(first.mem.size()));
+        for (const litmus::RegObservation &r : first.regs) {
+            words.push_back(r.tid);
+            words.push_back(r.reg);
+        }
+        for (const litmus::MemObservation &m : first.mem)
+            words.push_back(int64_t(m.addr));
+        for (const litmus::Outcome &o : set) {
+            for (const litmus::RegObservation &r : o.regs)
+                words.push_back(r.value);
+            for (const litmus::MemObservation &m : o.mem)
+                words.push_back(m.value);
+        }
+    }
+
+    /** The decision exactly as it was inserted. */
+    Decision
+    unpack() const
+    {
+        Decision d = meta;
+        if (full) {
+            d.outcomes = *full;
+            return d;
+        }
+        if (words.empty())
+            return d;
+        const size_t count = size_t(words[0]);
+        const size_t nregs = size_t(words[1]);
+        const size_t nmem = size_t(words[2]);
+        const int64_t *keys = words.data() + 3;
+        const int64_t *vals = keys + 2 * nregs + nmem;
+        for (size_t k = 0; k < count; ++k) {
+            litmus::Outcome o;
+            o.regs.resize(nregs);
+            for (size_t i = 0; i < nregs; ++i)
+                o.regs[i] = {int(keys[2 * i]), isa::Reg(keys[2 * i + 1]),
+                             *vals++};
+            o.mem.resize(nmem);
+            for (size_t i = 0; i < nmem; ++i)
+                o.mem[i] = {isa::Addr(keys[2 * nregs + i]), *vals++};
+            // Packed in set order: each insert lands at the end.
+            d.outcomes.insert(d.outcomes.end(), std::move(o));
+        }
+        return d;
+    }
+};
+
+} // anonymous namespace
+
 struct DecisionCache::Shard
 {
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, Decision> map;
+    std::unordered_map<uint64_t, PackedDecision> map;
 };
 
 DecisionCache::DecisionCache(size_t max_entries)
@@ -86,7 +188,7 @@ DecisionCache::lookup(uint64_t key)
         return std::nullopt;
     }
     hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return it->second.unpack();
 }
 
 void
@@ -107,7 +209,7 @@ DecisionCache::insert(uint64_t key, const Decision &decision)
         shard.map.erase(shard.map.begin());
         evictions.fetch_add(1, std::memory_order_relaxed);
     }
-    shard.map.insert_or_assign(key, decision);
+    shard.map.insert_or_assign(key, PackedDecision(decision));
 }
 
 size_t

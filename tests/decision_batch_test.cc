@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "harness/decision.hh"
@@ -226,6 +227,96 @@ TEST(DecideBatch, ReusesPlansAndFusesArenasWithinABatch)
     EXPECT_EQ(delta.counter("decide.batch.fused_groups"), 2u);
     EXPECT_EQ(delta.counter("decide.batch.fused_queries"), 4u);
     EXPECT_EQ(delta.counter("decide.batch.arena_reuse"), 0u);
+}
+
+/** Every CheckerStats field: a fused lane must count what solo does. */
+void
+expectSameStats(const axiomatic::CheckerStats &lane,
+                const axiomatic::CheckerStats &solo,
+                const std::string &what)
+{
+    EXPECT_EQ(lane.rfCandidates, solo.rfCandidates) << what;
+    EXPECT_EQ(lane.valueConsistent, solo.valueConsistent) << what;
+    EXPECT_EQ(lane.coCandidates, solo.coCandidates) << what;
+    EXPECT_EQ(lane.accepted, solo.accepted) << what;
+    EXPECT_EQ(lane.valueCycles, solo.valueCycles) << what;
+    EXPECT_EQ(lane.rfStaticSkipped, solo.rfStaticSkipped) << what;
+    EXPECT_EQ(lane.rfPruned, solo.rfPruned) << what;
+    EXPECT_EQ(lane.partialsPruned, solo.partialsPruned) << what;
+    EXPECT_EQ(lane.subtreesSkipped, solo.subtreesSkipped) << what;
+    EXPECT_EQ(lane.maxBacktrackDepth, solo.maxBacktrackDepth) << what;
+}
+
+/**
+ * Decide @p test under @p models in one batch (prescreen off, so every
+ * query runs as a lane of one fused pass) and each query alone, and
+ * require equal outcome sets and lane counters.  Returns the registry
+ * delta of the batch.
+ */
+obs::MetricSnapshot
+expectFusedLanesMatchSolo(const char *name,
+                          const std::vector<ModelKind> &models)
+{
+    const litmus::LitmusTest &test = litmus::testByName(name);
+    std::vector<Query> queries;
+    for (ModelKind model : models) {
+        Query q = queryFor(test, model, EngineSelect::Axiomatic);
+        q.options.prescreen = false;
+        queries.push_back(q);
+    }
+    const obs::MetricSnapshot before = obs::metrics().snapshot();
+    DecisionCache batchCache(1 << 12);
+    const std::vector<Decision> fused = decideBatch(queries, &batchCache);
+    const obs::MetricSnapshot delta =
+        obs::metrics().snapshot().delta(before);
+    EXPECT_EQ(delta.counter("decide.batch.fused_groups"), 1u) << name;
+    for (size_t i = 0; i < queries.size(); ++i) {
+        DecisionCache soloCache(1 << 12);
+        const Decision solo = decide(queries[i], &soloCache);
+        const std::string what = std::string(name) + " under "
+            + model::modelName(queries[i].model);
+        EXPECT_EQ(fused[i].outcomes, solo.outcomes) << what;
+        EXPECT_EQ(fused[i].allowed, solo.allowed) << what;
+        expectSameStats(fused[i].enumStats, solo.enumStats, what);
+    }
+    return delta;
+}
+
+TEST(DecideBatch, MirroredLaneMatchesSolo)
+{
+    // mp's loads read different addresses, so GAM's SALdLd adds
+    // nothing to GAM0's ppo: the GAM lane mirrors the GAM0 lane on
+    // every callback and keeps no closure of its own.
+    const obs::MetricSnapshot delta =
+        expectFusedLanesMatchSolo("mp", {ModelKind::GAM, ModelKind::GAM0});
+    EXPECT_GT(delta.counter("axiomatic.lanes.mirrored"), 0u);
+}
+
+TEST(DecideBatch, SupersetRejectedLaneMatchesSolo)
+{
+    // SC's ppo orders every memory pair, a superset of GAM0's: on
+    // ld_interv_st and rnsw (Figure 14) the GAM0 lane closes cycles
+    // that its dependencies and fences alone imply, and each time the
+    // SC lane rejects without touching its closure.  Some of
+    // ld_interv_st's rejections (a nonempty C(L)) depend on no model
+    // and reject both lanes at once.
+    const obs::MetricSnapshot interv = expectFusedLanesMatchSolo(
+        "ld_interv_st", {ModelKind::SC, ModelKind::GAM0});
+    EXPECT_GT(interv.counter("axiomatic.lanes.superset_rejects"), 0u);
+    EXPECT_GT(interv.counter("axiomatic.lanes.model_free_rejects"), 0u);
+    const obs::MetricSnapshot rnsw = expectFusedLanesMatchSolo(
+        "rnsw", {ModelKind::SC, ModelKind::GAM0});
+    EXPECT_GT(rnsw.counter("axiomatic.lanes.superset_rejects"), 0u);
+}
+
+TEST(DecideBatch, MixedArmAndGamLanesMatchSolo)
+{
+    // ARM's ppo reads read-from (SALdLdARM), so its lane keys its ppo
+    // on the thread's rf sources while GAM's does not; on corr's
+    // same-address loads the two keys must never be confused.
+    for (const char *name : {"corr", "mp", "dekker"})
+        expectFusedLanesMatchSolo(
+            name, {ModelKind::ARM, ModelKind::GAM, ModelKind::GAM0});
 }
 
 TEST(DecideBatch, EmptyBatchIsANoOp)

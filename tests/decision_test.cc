@@ -245,6 +245,62 @@ TEST(DecisionCache, WarmDecisionIdenticalToCold)
     EXPECT_EQ(cache.stats().misses, 0u);
 }
 
+TEST(DecisionCache, PackedEntriesRoundTripExactly)
+{
+    // Resident outcome sets are packed as one observation schema plus
+    // values; a set whose outcomes disagree on the schema is kept
+    // whole.  Either way lookup() returns the inserted Decision.
+    auto outcome = [](std::vector<litmus::RegObservation> regs,
+                      std::vector<litmus::MemObservation> mem) {
+        litmus::Outcome o;
+        o.regs = std::move(regs);
+        o.mem = std::move(mem);
+        o.canonicalize();
+        return o;
+    };
+    Decision uniform;
+    uniform.allowed = true;
+    uniform.engine = Engine::Cat;
+    uniform.statesVisited = 17;
+    uniform.enumStats.rfCandidates = 5;
+    uniform.enumStats.maxBacktrackDepth = 3;
+    uniform.wallSeconds = 0.25;
+    uniform.catCompiled = true;
+    uniform.prescreened = PrescreenKind::ScDelegate;
+    uniform.traceSpanId = 99;
+    for (isa::Value v : {-1, 0, 1, 7})
+        uniform.outcomes.insert(
+            outcome({{0, 1, v}, {1, 2, 3 - v}}, {{0x1000, v * v}}));
+    Decision mixed = uniform;
+    mixed.outcomes.insert(outcome({{0, 1, 4}}, {}));
+    Decision empty;
+    empty.engine = Engine::Operational;
+
+    DecisionCache cache;
+    const std::vector<const Decision *> inserted = {&uniform, &mixed,
+                                                    &empty};
+    for (size_t k = 0; k < inserted.size(); ++k)
+        cache.insert(k + 1, *inserted[k]);
+    for (size_t k = 0; k < inserted.size(); ++k) {
+        const std::optional<Decision> got = cache.lookup(k + 1);
+        ASSERT_TRUE(got.has_value()) << k;
+        const Decision &want = *inserted[k];
+        EXPECT_EQ(got->outcomes, want.outcomes) << k;
+        EXPECT_EQ(got->allowed, want.allowed) << k;
+        EXPECT_EQ(got->engine, want.engine) << k;
+        EXPECT_EQ(got->statesVisited, want.statesVisited) << k;
+        EXPECT_EQ(got->enumStats.rfCandidates,
+                  want.enumStats.rfCandidates) << k;
+        EXPECT_EQ(got->enumStats.maxBacktrackDepth,
+                  want.enumStats.maxBacktrackDepth) << k;
+        EXPECT_EQ(got->complete, want.complete) << k;
+        EXPECT_EQ(got->wallSeconds, want.wallSeconds) << k;
+        EXPECT_EQ(got->catCompiled, want.catCompiled) << k;
+        EXPECT_EQ(got->prescreened, want.prescreened) << k;
+        EXPECT_EQ(got->traceSpanId, want.traceSpanId) << k;
+    }
+}
+
 TEST(DecisionCache, StatsReportShardOccupancySkew)
 {
     // Keys route to shard (key >> 59): three keys sharing their top 5

@@ -13,21 +13,26 @@
  * would pass every soundness check vacuously.
  */
 
+#include <array>
 #include <cstdio>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "analysis/prescreen.hh"
+#include "campaign/enumerate.hh"
 #include "harness/decision.hh"
 #include "harness/litmus_runner.hh"
 #include "litmus/generator.hh"
 #include "litmus/suite.hh"
+#include "litmus/test.hh"
 #include "model/engine.hh"
 
 namespace
 {
 
 using gam::analysis::prescreen;
+using gam::analysis::PrescreenAnalysis;
 using gam::analysis::PrescreenVerdict;
 using gam::harness::Decision;
 using gam::harness::DecisionCache;
@@ -177,6 +182,49 @@ TEST(Prescreen, UnknownModelsNeverDelegate)
         EXPECT_NE(r.verdict, PrescreenVerdict::ScEquivalent)
             << test.name;
     }
+}
+
+TEST(Prescreen, VerdictCensusOnLength4FullUniverse)
+{
+    // The analysis's verdicts over every canonical test of the
+    // length <= 4 full-quotient campaign universe, pinned per model:
+    // any change to the value fixpoint or the delegate rules that
+    // moves a single verdict shows up here, in either direction.
+    gam::campaign::EnumerateOptions opt;
+    opt.maxLen = 4;
+    opt.canonical = gam::campaign::CanonicalForm::Full;
+    // Unknown / Forbidden / ScEquivalent per model, in kModels order.
+    std::array<std::array<size_t, 3>, 4> census{};
+    std::unordered_set<uint64_t> seen;
+    size_t tests = 0;
+    gam::campaign::enumerateCycles(
+        opt, [&](const gam::campaign::CanonicalCycle &cycle) {
+            auto test = gam::litmus::testFromCycle(
+                cycle.name, cycle.edges, cycle.numLocations);
+            // Lowered tests are deduplicated by fingerprint, as the
+            // campaign driver does.
+            if (!test || !seen.insert(gam::litmus::fingerprint(*test)).second)
+                return true;
+            ++tests;
+            const PrescreenAnalysis analysis(*test);
+            for (size_t m = 0; m < kModels.size(); ++m) {
+                const auto r = analysis.screen(kModels[m]);
+                EXPECT_EQ(r.verdict, prescreen(*test, kModels[m]).verdict)
+                    << test->name;
+                ++census[m][size_t(r.verdict)];
+            }
+            return true;
+        });
+    EXPECT_EQ(tests, 392u);
+    const std::array<std::array<size_t, 3>, 4> expect = {{
+        {392, 0, 0},   // SC
+        {101, 0, 291}, // TSO
+        {167, 0, 225}, // GAM0
+        {152, 0, 240}, // GAM
+    }};
+    for (size_t m = 0; m < kModels.size(); ++m)
+        EXPECT_EQ(census[m], expect[m])
+            << gam::model::modelName(kModels[m]);
 }
 
 } // namespace

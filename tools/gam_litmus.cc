@@ -51,14 +51,16 @@
  *                           [--resume] [--verify N]
  *                           [--min-store-hit-rate P] [--quiet]
  *                           [--no-fences] [--no-deps] [--no-rmws]
- *                           [--no-batching]
+ *                           [--no-batching] [--no-prescreen]
  *                           [--metrics FILE] [--trace FILE]
  *       Decide the exhaustive canonical test universe up to the given
  *       cycle length under every requested (model, engine) pair, with
  *       batched decides work-stolen over a thread pool.  --canonical
  *       full shrinks the universe by the symmetry quotient
  *       (campaign/symmetry.hh) before deciding; --no-batching falls
- *       back to the one-decide-per-query pipeline.  --store appends
+ *       back to the one-decide-per-query pipeline; --no-prescreen
+ *       sends every query to an engine, skipping the static
+ *       pre-screen (analysis/prescreen.hh).  --store appends
  *       every decision to a crash-safe persistent store consulted
  *       before the engines; --resume skips shards the checkpoint
  *       (FILE.ckpt by default) records as finished; --verify N
@@ -119,6 +121,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <unordered_set>
@@ -201,6 +204,8 @@ usage()
                  "      [--store FILE]        persistent decision "
                  "store (append-log)\n"
                  "      [--resume]            skip checkpointed shards\n"
+                 "      [--no-prescreen]      decide every query with "
+                 "an engine\n"
                  "      [--verify N]          re-decide every Nth "
                  "decision from scratch\n"
                  "      [--min-store-hit-rate P]  exit 1 below P%% "
@@ -961,6 +966,25 @@ cmdCampaignRun(int argc, char **argv)
             options.batching = false;
             continue;
         }
+        if (arg == "--no-prescreen") {
+            options.run.prescreen = false;
+            continue;
+        }
+        static const std::set<std::string> valueFlags = {
+            "--canonical", "--models", "--engines", "--store",
+            "--checkpoint", "--metrics", "--trace",
+            "--min-store-hit-rate", "--max-cycle-len",
+            "--min-cycle-len", "--shards", "--threads", "--limit",
+            "--verify"};
+        if (!valueFlags.count(arg)) {
+            // Checked before taking a value, so a misspelt switch
+            // neither asks for a value nor swallows the next flag.
+            std::fprintf(stderr,
+                         "gam-litmus: unknown campaign run option "
+                         "'%s'\n",
+                         arg.c_str());
+            return 2;
+        }
         const char *value = flagValue(argc, argv, i, arg.c_str());
         if (!value)
             return 2;
@@ -1025,15 +1049,8 @@ cmdCampaignRun(int argc, char **argv)
                 options.threads = unsigned(*n);
             else if (arg == "--limit")
                 options.limit = *n;
-            else if (arg == "--verify")
-                options.verifySample = *n;
-            else {
-                std::fprintf(stderr,
-                             "gam-litmus: unknown campaign run option "
-                             "'%s'\n",
-                             arg.c_str());
-                return 2;
-            }
+            else
+                options.verifySample = *n; // --verify
         }
     }
 
