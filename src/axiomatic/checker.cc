@@ -564,18 +564,6 @@ Checker::enumerate()
 }
 
 litmus::OutcomeSet
-Checker::enumerateOn(CandidateEnumerator &enumerator)
-{
-    GAM_TRACE_SCOPE("axiomatic.enumerate");
-    litmus::OutcomeSet outcomes = enumerator.run([&] {
-        return std::make_unique<BuiltinAxiomFilter>(
-            model, options.enforceInstOrder);
-    });
-    _stats = enumerator.stats();
-    return outcomes;
-}
-
-litmus::OutcomeSet
 Checker::enumerateFiltered(const CandidateFilter &accept)
 {
     GAM_ASSERT(accept != nullptr, "enumerateFiltered: null filter");

@@ -107,18 +107,6 @@ class Checker
     litmus::OutcomeSet enumerateFiltered(const CandidateFilter &accept);
 
     /**
-     * enumerate(), but over a caller-owned enumerator instead of a
-     * fresh one.  The batched decide pipeline (harness::decideBatch)
-     * builds one CandidateEnumerator per test and drives it once per
-     * model, amortizing the CandidateBuilder arena -- static rf
-     * feasibility, load/store site tables -- across every model in
-     * the batch.  @p enumerator must have been constructed from this
-     * checker's test with equivalent Options; each call resets the
-     * enumerator's stats, so stats() reflects this run only.
-     */
-    litmus::OutcomeSet enumerateOn(CandidateEnumerator &enumerator);
-
-    /**
      * Drive the incremental pruned search with a custom filter (one
      * per worker from @p factory); the engine entry point for models
      * that can judge partial candidates (cat::CatEngine).  The

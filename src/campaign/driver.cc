@@ -251,8 +251,7 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
         obs::metrics().histogram("campaign.shard.decisions");
 
     // Tally one decision into its home shard and report whether the
-    // verify sampler picked it; shared by both pipelines (the caller
-    // holds the shard's lock on the batched path).
+    // verify sampler picked it (the caller holds the shard's lock).
     auto tallyDecision = [&](ShardTally &tally, size_t p,
                              const Decision &d) {
         PairTally &pt = tally.pairs[p];
@@ -319,164 +318,119 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
     for (unsigned s : todo)
         tallies[s].pairs.resize(pairs.size());
 
+    // Work-stealing over units: workers pull fixed-size chunks of the
+    // flattened work list from a shared cursor and decide each chunk
+    // as one harness::decideBatch() call (every model/engine pair of
+    // every unit in the chunk), so per-query fixed costs amortize and a
+    // slow unit delays one worker, not a whole static shard.  Shards
+    // survive purely as checkpoint + tally accounting: unit i belongs
+    // to shard i mod N, and a shard completes when its outstanding unit
+    // count hits zero.
+    std::vector<size_t> work;
+    std::vector<uint64_t> outstanding(shard_count, 0);
+    for (size_t i = 0; i < units.size(); ++i) {
+        const unsigned s = unsigned(i % shard_count);
+        if (checkpoint && checkpoint->isDone(s))
+            continue;
+        work.push_back(i);
+        ++outstanding[s];
+    }
+    // Empty shards (more shards than units) have nothing to wait for:
+    // complete them up front.
+    for (unsigned s : todo)
+        if (outstanding[s] == 0)
+            completeShard(s);
+
+    std::vector<std::atomic<uint64_t>> remaining(shard_count);
+    for (unsigned s = 0; s < shard_count; ++s)
+        remaining[s].store(outstanding[s], std::memory_order_relaxed);
+    std::vector<std::mutex> shard_mu(shard_count);
+    std::atomic<size_t> cursor{0};
+
+    // Chunk size trades steal frequency against batch amortization:
+    // 64 units x a typical 4-pair matrix is a 256-query batch, which
+    // keeps the batch's ppo-shape and prescreen memos hot across units
+    // (cycle tests share thread shapes heavily) and spreads
+    // BatchContext setup thin, while still leaving enough steals per
+    // real campaign to keep the tail balanced.
+    constexpr size_t ChunkUnits = 64;
     ThreadPool pool(options.threads);
-    if (options.batching) {
-        // Work-stealing over units: workers pull fixed-size chunks of
-        // the flattened work list from a shared cursor and decide each
-        // chunk as one harness::decideBatch() call (every model/engine
-        // pair of every unit in the chunk), so per-query fixed costs
-        // amortize and a slow unit delays one worker, not a whole
-        // static shard.  Shards survive purely as checkpoint + tally
-        // accounting: unit i still belongs to shard i mod N, and a
-        // shard completes when its outstanding unit count hits zero.
-        auto work = std::make_shared<std::vector<size_t>>();
-        std::vector<uint64_t> outstanding(shard_count, 0);
-        for (size_t i = 0; i < units.size(); ++i) {
-            const unsigned s = unsigned(i % shard_count);
-            if (checkpoint && checkpoint->isDone(s))
-                continue;
-            work->push_back(i);
-            ++outstanding[s];
-        }
-        // Empty shards (more shards than units) have nothing to wait
-        // for: complete them up front, as the static loops did.
-        for (unsigned s : todo)
-            if (outstanding[s] == 0)
-                completeShard(s);
-
-        auto remaining =
-            std::make_shared<std::vector<std::atomic<uint64_t>>>(
-                shard_count);
-        for (unsigned s = 0; s < shard_count; ++s)
-            (*remaining)[s].store(outstanding[s],
-                                  std::memory_order_relaxed);
-        auto shard_mu =
-            std::make_shared<std::vector<std::mutex>>(shard_count);
-        auto cursor = std::make_shared<std::atomic<size_t>>(0);
-
-        // Chunk size trades steal frequency against batch
-        // amortization: 64 units x a typical 4-pair matrix is a
-        // 256-query batch, which keeps the batch's ppo-shape and
-        // prescreen memos hot across units (cycle tests share thread
-        // shapes heavily) and spreads BatchContext setup thin, while
-        // still leaving enough steals per real campaign to keep the
-        // tail balanced.
-        constexpr size_t ChunkUnits = 64;
-        const unsigned workers = std::max(
-            1u,
-            std::min(pool.threadCount(),
-                     unsigned((work->size() + ChunkUnits - 1)
+    const unsigned workers = std::max(
+        1u, std::min(pool.threadCount(),
+                     unsigned((work.size() + ChunkUnits - 1)
                               / ChunkUnits)));
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.submit([&, work, remaining, shard_mu, cursor] {
-                GAM_TRACE_SCOPE("campaign.worker");
-                struct Sample
-                {
-                    Query query;
-                    Engine engine;
-                    Decision decision;
-                    unsigned shard;
-                };
-                for (;;) {
-                    const size_t begin = cursor->fetch_add(
-                        ChunkUnits, std::memory_order_relaxed);
-                    if (begin >= work->size())
-                        return;
-                    const size_t end = std::min(
-                        begin + ChunkUnits, work->size());
+    for (unsigned w = 0; w < workers; ++w) {
+        pool.submit([&] {
+            GAM_TRACE_SCOPE("campaign.worker");
+            struct Sample
+            {
+                Query query;
+                Engine engine;
+                Decision decision;
+                unsigned shard;
+            };
+            for (;;) {
+                const size_t begin =
+                    cursor.fetch_add(ChunkUnits, std::memory_order_relaxed);
+                if (begin >= work.size())
+                    return;
+                const size_t end = std::min(begin + ChunkUnits, work.size());
 
-                    std::vector<litmus::LitmusTest> tests;
-                    tests.reserve(end - begin);
-                    for (size_t w2 = begin; w2 < end; ++w2) {
-                        const CanonicalCycle &cycle =
-                            units[(*work)[w2]];
-                        auto test = litmus::testFromCycle(
-                            cycle.name, cycle.edges,
-                            cycle.numLocations);
-                        tests.push_back(std::move(*test));
-                    }
-                    std::vector<Query> batch;
-                    batch.reserve((end - begin) * pairs.size());
-                    for (size_t w2 = begin; w2 < end; ++w2) {
-                        for (const auto &[m, e] : pairs) {
-                            Query q;
-                            q.test = &tests[w2 - begin];
-                            q.model = m;
-                            q.engine = selectFor(e);
-                            q.options = run;
-                            batch.push_back(q);
-                        }
-                    }
-                    const std::vector<Decision> decisions =
-                        harness::decideBatch(batch, &cache, store);
-
-                    // Tally under the home shard's lock; run the
-                    // sampled verification re-decides after releasing
-                    // it (they are full engine runs).
-                    std::vector<Sample> samples;
-                    size_t qi = 0;
-                    for (size_t w2 = begin; w2 < end; ++w2) {
-                        const unsigned s =
-                            unsigned((*work)[w2] % shard_count);
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                (*shard_mu)[s]);
-                            for (size_t p = 0; p < pairs.size();
-                                 ++p, ++qi) {
-                                if (tallyDecision(tallies[s], p,
-                                                  decisions[qi]))
-                                    samples.push_back(
-                                        {batch[qi], pairs[p].second,
-                                         decisions[qi], s});
-                            }
-                        }
-                        if ((*remaining)[s].fetch_sub(
-                                1, std::memory_order_acq_rel) == 1)
-                            completeShard(s);
-                    }
-                    for (const Sample &sample : samples) {
-                        const bool ok = verifyDecision(
-                            sample.query, sample.engine,
-                            sample.decision);
-                        std::lock_guard<std::mutex> lock(
-                            (*shard_mu)[sample.shard]);
-                        ShardTally &tally = tallies[sample.shard];
-                        ++tally.verified;
-                        if (!ok)
-                            ++tally.verifyMismatches;
-                    }
+                std::vector<litmus::LitmusTest> tests;
+                tests.reserve(end - begin);
+                for (size_t i = begin; i < end; ++i) {
+                    const CanonicalCycle &cycle = units[work[i]];
+                    tests.push_back(*litmus::testFromCycle(
+                        cycle.name, cycle.edges, cycle.numLocations));
                 }
-            });
-        }
-    } else {
-        // The PR 8 pipeline: static unit -> shard assignment, one
-        // decide() per query.  Kept as the A/B baseline bench_campaign
-        // measures the batched pipeline against.
-        for (unsigned s : todo) {
-            pool.submit([&, s] {
-                GAM_TRACE_SCOPE("campaign.shard");
-                ShardTally &tally = tallies[s];
-                for (size_t i = s; i < units.size(); i += shard_count) {
-                    const CanonicalCycle &cycle = units[i];
-                    auto test = litmus::testFromCycle(
-                        cycle.name, cycle.edges, cycle.numLocations);
-                    for (size_t p = 0; p < pairs.size(); ++p) {
+                std::vector<Query> batch;
+                batch.reserve((end - begin) * pairs.size());
+                for (const litmus::LitmusTest &test : tests) {
+                    for (const auto &[m, e] : pairs) {
                         Query q;
-                        q.test = &*test;
-                        q.model = pairs[p].first;
-                        q.engine = selectFor(pairs[p].second);
+                        q.test = &test;
+                        q.model = m;
+                        q.engine = selectFor(e);
                         q.options = run;
-                        Decision d = harness::decide(q, &cache, store);
-                        if (tallyDecision(tally, p, d)) {
-                            ++tally.verified;
-                            if (!verifyDecision(q, pairs[p].second, d))
-                                ++tally.verifyMismatches;
-                        }
+                        batch.push_back(q);
                     }
                 }
-                completeShard(s);
-            });
-        }
+                const std::vector<Decision> decisions =
+                    harness::decideBatch(batch, &cache, store);
+
+                // Tally under the home shard's lock; run the sampled
+                // verification re-decides after releasing it (they are
+                // full engine runs).
+                std::vector<Sample> samples;
+                size_t qi = 0;
+                for (size_t i = begin; i < end; ++i) {
+                    const unsigned s = unsigned(work[i] % shard_count);
+                    {
+                        std::lock_guard<std::mutex> lock(shard_mu[s]);
+                        for (size_t p = 0; p < pairs.size(); ++p, ++qi) {
+                            if (tallyDecision(tallies[s], p,
+                                              decisions[qi]))
+                                samples.push_back({batch[qi],
+                                                   pairs[p].second,
+                                                   decisions[qi], s});
+                        }
+                    }
+                    if (remaining[s].fetch_sub(
+                            1, std::memory_order_acq_rel) == 1)
+                        completeShard(s);
+                }
+                for (const Sample &sample : samples) {
+                    const bool ok = verifyDecision(
+                        sample.query, sample.engine, sample.decision);
+                    std::lock_guard<std::mutex> lock(
+                        shard_mu[sample.shard]);
+                    ShardTally &tally = tallies[sample.shard];
+                    ++tally.verified;
+                    if (!ok)
+                        ++tally.verifyMismatches;
+                }
+            }
+        });
     }
 
     // Coordinate: poll for progress while the pool drains.

@@ -12,10 +12,12 @@
  *     when a dependency edge degenerates).  The surviving units keep
  *     their enumeration order, so unit -> shard assignment (unit i to
  *     shard i mod N) is reproducible across runs and platforms.
- *  2. *Decide*: each shard walks its units and decides every
- *     (model, engine) pair through harness::decide(), backed by a
- *     private DecisionCache and, when given, a DecisionStore -- so a
- *     re-run serves from the store instead of the engines, and a
+ *  2. *Decide*: workers pull chunks of units from a shared cursor
+ *     (work stealing) and decide every (model, engine) pair of a
+ *     chunk as one harness::decideBatch() call, backed by a private
+ *     DecisionCache and, when given, a DecisionStore -- so a re-run
+ *     serves from the store instead of the engines.  Unit i still
+ *     belongs to shard i mod N for tallies and checkpointing, and a
  *     killed run loses only unfinished shards.
  *  3. *Checkpoint*: finished shards are appended to a line-oriented
  *     checkpoint file (config-hash guarded, torn lines ignored);
@@ -81,19 +83,8 @@ struct CampaignOptions
      *  memory (the store keeps compact records instead). */
     size_t cacheEntries = 1 << 16;
     /** Engine knobs for every decision (threads forced to 1: the
-     *  campaign parallelises across shards, not within engines). */
+     *  campaign parallelises across units, not within engines). */
     harness::RunOptions run;
-    /**
-     * Decide through the batched pipeline (harness::decideBatch) with
-     * work-stealing unit assignment: workers pull fixed-size chunks of
-     * units from a shared cursor, so one slow unit no longer idles
-     * every other worker mapped to its shard.  False falls back to the
-     * static unit->shard loops with one decide() per query -- the PR 8
-     * pipeline, kept so bench_campaign can measure what batching buys.
-     * Tallies, checkpoint semantics and results are identical either
-     * way (campaign_test pins it).
-     */
-    bool batching = true;
 };
 
 /** One (model, engine) pair's outcome tallies. */

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <numeric>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "analysis/prescreen.hh"
@@ -356,14 +357,15 @@ anyConditionMatch(const litmus::LitmusTest &test,
     return false;
 }
 
-/** The arena / fused-group signature of a set of checker options:
- *  everything a CandidateBuilder's static tables depend on. */
+/** The fused-group signature of a set of checker options: everything
+ *  a CandidateBuilder's static tables depend on.  searchThreads is not
+ *  among them -- the fused pass is serial -- so queries differing only
+ *  in RunOptions::threads share one pass. */
 uint64_t
 axOptionsKey(const axiomatic::Options &opts)
 {
     StateHasher h;
     h.add(opts.enforceInstOrder ? 1 : 0);
-    h.add(uint64_t(opts.searchThreads));
     h.separator();
     for (isa::Value v : opts.seedValues)
         h.add(uint64_t(v));
@@ -375,8 +377,7 @@ axOptionsKey(const axiomatic::Options &opts)
  * no locking): the amortizable fixed costs of the decide pipeline.
  * Every entry is keyed so that sharing can never change a result --
  * test fingerprints by test identity, compiled plans by model content
- * hash, candidate arenas by (test, seeded-options) identity, ppo
- * results by everything preservedProgramOrder() reads.
+ * hash, ppo results by everything preservedProgramOrder() reads.
  */
 struct BatchContext
 {
@@ -386,10 +387,6 @@ struct BatchContext
     std::unordered_map<uint64_t,
                        std::shared_ptr<const cat::CompiledPlan>>
         plans;
-    /** CandidateBuilder arena per (test, options signature). */
-    std::map<std::pair<const litmus::LitmusTest *, uint64_t>,
-             std::unique_ptr<axiomatic::CandidateEnumerator>>
-        arenas;
     /**
      * Memoized ppo closures shared by every built-in filter lane of
      * every fused enumeration in the batch (axiomatic::PpoCache): the
@@ -405,9 +402,14 @@ struct BatchContext
     std::unordered_map<const litmus::LitmusTest *,
                        std::unique_ptr<analysis::PrescreenAnalysis>>
         prescreens;
-    /** Plans / arenas served from the batch instead of rebuilt. */
+    /**
+     * Keys of the engine runs pended so far.  A delegator whose inner
+     * SC key is among them looks that key up only once the fused pass
+     * has published it, exactly where a decide() loop would hit it.
+     */
+    std::unordered_set<uint64_t> pended;
+    /** Plans served from the batch instead of rebuilt. */
     uint64_t planReuse = 0;
-    uint64_t arenaReuse = 0;
 
     uint64_t
     testFp(const litmus::LitmusTest &test)
@@ -439,24 +441,9 @@ struct BatchContext
         }
         return *it->second;
     }
-
-    axiomatic::CandidateEnumerator &
-    arenaFor(const litmus::LitmusTest &test,
-             const axiomatic::Options &opts)
-    {
-        auto [it, fresh] =
-            arenas.try_emplace({&test, axOptionsKey(opts)}, nullptr);
-        if (fresh) {
-            it->second = std::make_unique<
-                axiomatic::CandidateEnumerator>(test, opts);
-        } else {
-            ++arenaReuse;
-        }
-        return *it->second;
-    }
 };
 
-/** The per-query seeded checker options runAxiomatic()/runCat()
+/** The per-query seeded checker options the fused pass and runCat()
  *  share: OOTA candidates are seeded exactly as Checker::isAllowed()
  *  does, so OOTA-style queries are decided by the axioms rather than
  *  by omission.  Under every shipped model such candidates are
@@ -471,39 +458,19 @@ seededOptions(const Query &query)
 }
 
 void
-runAxiomatic(const Query &query, Decision &d, BatchContext *batch)
-{
-    const axiomatic::Options opts = seededOptions(query);
-    axiomatic::Checker checker(*query.test, query.model, opts);
-    if (batch) {
-        // One CandidateBuilder arena per test, shared across every
-        // model in the batch: static rf feasibility and the site
-        // tables depend only on (test, options).
-        d.outcomes =
-            checker.enumerateOn(batch->arenaFor(*query.test, opts));
-    } else {
-        d.outcomes = checker.enumerate();
-    }
-    d.allowed = anyConditionMatch(*query.test, d.outcomes);
-    d.statesVisited = checker.stats().coCandidates;
-    d.enumStats = checker.stats();
-    d.complete = true;
-}
-
-void
-runCat(const Query &query, Decision &d, BatchContext *batch)
+runCat(const Query &query, Decision &d, BatchContext &batch)
 {
     const cat::CatModel &m = query.catModel
         ? *query.catModel : cat::builtinCatModel(query.model);
-    // Seed OOTA candidates exactly as runAxiomatic() does: the two
+    // Seed OOTA candidates exactly as the axiomatic pass does: the two
     // engines share the candidate builder, so this keeps them
     // verdict-comparable query-for-query.
     cat::CatEngine engine(*query.test, m, seededOptions(query),
                           query.options.catCompile
                               ? cat::CatEngine::Mode::Compiled
                               : cat::CatEngine::Mode::Interpreted);
-    if (batch && query.options.catCompile)
-        engine.usePlan(batch->planFor(m));
+    if (query.options.catCompile)
+        engine.usePlan(batch.planFor(m));
     d.outcomes = engine.enumerate();
     d.allowed = anyConditionMatch(*query.test, d.outcomes);
     d.statesVisited = engine.stats().coCandidates;
@@ -614,14 +581,14 @@ decideMetrics()
 }
 
 /**
- * decideBatch()'s own registry metrics.  batch.queries counts queries
- * routed through a batch; plan_reuse / arena_reuse count how often a
- * compiled cat plan or a CandidateBuilder arena was served from the
- * batch context instead of rebuilt; fused_groups / fused_queries
- * count the fused enumeration passes and the axiomatic engine runs
- * they absorbed (fused_queries / fused_groups is the fan-in the
- * multi-filter walk buys -- the dominant batch amortization, which is
- * also why arena_reuse is normally 0 now: one fused pass per arena).
+ * decideBatch()'s own registry metrics (decide() is a one-query batch,
+ * so it counts here too).  batch.queries counts queries routed through
+ * a batch; plan_reuse counts how often a compiled cat plan was served
+ * from the batch context instead of rebuilt; fused_groups /
+ * fused_queries count the fused enumeration passes and the axiomatic
+ * engine runs they absorbed (fused_queries / fused_groups is the
+ * fan-in the multi-filter walk buys -- the dominant batch
+ * amortization).
  */
 struct BatchMetrics
 {
@@ -632,8 +599,6 @@ struct BatchMetrics
         obs::metrics().counter("decide.batch.groups");
     obs::Counter &planReuse =
         obs::metrics().counter("decide.batch.plan_reuse");
-    obs::Counter &arenaReuse =
-        obs::metrics().counter("decide.batch.arena_reuse");
     obs::Counter &fusedGroups =
         obs::metrics().counter("decide.batch.fused_groups");
     obs::Counter &fusedQueries =
@@ -647,10 +612,18 @@ batchMetrics()
     return m;
 }
 
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
 /**
  * An axiomatic engine run decideQuery() deferred onto a fused
  * enumeration pass: everything the finish phase needs to complete the
- * request exactly as the inline pipeline would have.
+ * request.
  */
 struct PendingEngine
 {
@@ -664,15 +637,74 @@ struct PendingEngine
     uint64_t innerKey = 0;
     /** Pended at the ScDelegate prescreen, not at the engine switch. */
     bool delegateSc = false;
+    /**
+     * delegateSc only: the inner SC request already missed the cache
+     * and the store in the front pass, so the finish phase decides it
+     * from the SC lane without looking it up again.
+     */
+    bool innerMissed = false;
     /** Request arrival, so wall time covers the queueing too. */
     std::chrono::steady_clock::time_point start;
 };
 
 /**
- * The shared tail of every engine-produced decision -- inline or
- * fused: terminal + completeness counters, wall time, span stamp,
- * cache insert, store offer.  Exactly one terminal counter and one
- * wall sample per request, whichever phase finishes it.
+ * The pipeline's two serving levels for @p key: the in-memory cache,
+ * then the persistent store.  Counts the hit (or the cache miss) and
+ * flags the served decision; nullopt when neither level has it.
+ */
+std::optional<Decision>
+serve(uint64_t key, DecisionCache *cache, DecisionBackend *backend)
+{
+    DecideMetrics &m = decideMetrics();
+    std::optional<Decision> hit;
+    if (cache) {
+        {
+            obs::TraceSpan lookupSpan("decide.cache");
+            hit = cache->lookup(key);
+        }
+        if (hit) {
+            m.cacheHit.inc();
+            hit->cacheHit = true;
+            return hit;
+        }
+        m.cacheMiss.inc();
+    }
+    if (backend) {
+        // A store hit is verdict-only (Decision::storeHit), so it must
+        // never be inserted into the in-memory cache -- outcome-set
+        // consumers sharing the cache would silently receive an empty
+        // enumeration.
+        {
+            obs::TraceSpan loadSpan("decide.store");
+            hit = backend->load(key);
+        }
+        if (hit) {
+            m.storeHit.inc();
+            hit->storeHit = true;
+        }
+    }
+    return hit;
+}
+
+/** The SC query an ScDelegate decision delegates @p query to: the same
+ *  engine, not re-screened. */
+Query
+scSubQuery(const Query &query, Engine engine)
+{
+    Query sub = query;
+    sub.model = ModelKind::SC;
+    sub.options.prescreen = false;
+    sub.engine = engine == Engine::Axiomatic ? EngineSelect::Axiomatic
+        : engine == Engine::Operational      ? EngineSelect::Operational
+                                             : EngineSelect::Cat;
+    return sub;
+}
+
+/**
+ * The shared tail of every engine-produced decision: terminal +
+ * completeness counters, wall time, span stamp, cache insert, store
+ * offer.  Exactly one terminal counter and one wall sample per
+ * request.
  */
 void
 finishEngineDecision(const Query &query, Decision &d, uint64_t key,
@@ -684,9 +716,7 @@ finishEngineDecision(const Query &query, Decision &d, uint64_t key,
     m.engineCounter(d.engine).inc();
     if (!d.complete)
         m.incomplete.inc();
-    d.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+    d.wallSeconds = secondsSince(start);
     d.traceSpanId = spanId;
     m.wallUs.sample(uint64_t(d.wallSeconds * 1e6));
     if (cache)
@@ -698,18 +728,48 @@ finishEngineDecision(const Query &query, Decision &d, uint64_t key,
 }
 
 /**
- * The decide() pipeline front: cache, store, prescreen, engine.  With
- * @p pending non-null (the batched pipeline; @p batch must be set
- * too), an axiomatic engine run is not executed but *pended*: the
- * request and non-terminal counters have fired, @p pending describes
- * the deferred run, and the caller owes the finish phase (a fused
+ * Turn the inner SC decision @p inner into @p query's ScDelegate
+ * decision (the delegator's terminal).  The result is exact, but is
+ * not inserted into the cache under @p key, so prescreen-off consumers
+ * always exercise the real engine.  It is persisted under @p key,
+ * so a later run is one store hit instead of a re-screen plus
+ * delegation -- but only when the inner decision carries real
+ * outcomes: a store-served inner is verdict-only, and persisting its
+ * empty set here would corrupt the round-trip witness.
+ */
+Decision
+finishDelegation(const Query &query, Decision inner, Engine engine,
+                 uint64_t key, DecisionBackend *backend,
+                 std::chrono::steady_clock::time_point start,
+                 uint64_t spanId)
+{
+    DecideMetrics &m = decideMetrics();
+    inner.engine = engine;
+    inner.cacheHit = false;
+    inner.prescreened = PrescreenKind::ScDelegate;
+    m.scDelegate.inc();
+    inner.wallSeconds = secondsSince(start);
+    inner.traceSpanId = spanId;
+    m.wallUs.sample(uint64_t(inner.wallSeconds * 1e6));
+    if (backend && !inner.storeHit) {
+        backend->store(key, query, inner);
+        m.storeWrite.inc();
+    }
+    return inner;
+}
+
+/**
+ * The decide pipeline front: cache, store, prescreen, engine.  An
+ * axiomatic engine run is not executed here but *pended*: the request
+ * and non-terminal counters have fired, @p pending describes the
+ * deferred run, and the caller owes the finish phase (a fused
  * enumeration + finishEngineDecision()).  Returns the decision
  * otherwise.
  */
 std::optional<Decision>
 decideQuery(const Query &query, DecisionCache *cache,
-            DecisionBackend *backend, BatchContext *batch,
-            PendingEngine *pending)
+            DecisionBackend *backend, BatchContext &batch,
+            PendingEngine &pending)
 {
     GAM_ASSERT(query.test != nullptr, "decide: null test");
     const Engine engine = resolveEngine(query);
@@ -726,61 +786,27 @@ decideQuery(const Query &query, DecisionCache *cache,
     obs::TraceSpan span("decide");
 
     const auto start = std::chrono::steady_clock::now();
-    auto elapsed = [&start] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    };
     // Every return path stamps the decision with its span and reports
     // its wall time; exactly one terminal counter fires per request.
     auto stamp = [&](Decision &d) {
-        d.wallSeconds = elapsed();
+        d.wallSeconds = secondsSince(start);
         d.traceSpanId = span.id();
         m.wallUs.sample(uint64_t(d.wallSeconds * 1e6));
     };
 
-    const uint64_t key = (cache || backend)
-        ? queryKeyHashed(batch ? batch->testFp(*query.test)
-                               : litmus::fingerprint(*query.test),
-                         query, engine)
+    const bool keyed = cache || backend;
+    const uint64_t key = keyed
+        ? queryKeyHashed(batch.testFp(*query.test), query, engine)
         : 0;
-    if (cache) {
-        std::optional<Decision> hit;
-        {
-            obs::TraceSpan lookupSpan("decide.cache");
-            hit = cache->lookup(key);
-        }
-        if (hit) {
-            m.cacheHit.inc();
-            hit->cacheHit = true;
-            stamp(*hit);
-            return *std::move(hit);
-        }
-        m.cacheMiss.inc();
-    }
-    if (backend) {
-        // Second level: the persistent store.  A hit is verdict-only
-        // (Decision::storeHit), so it must never be inserted into the
-        // in-memory cache -- outcome-set consumers sharing the cache
-        // would silently receive an empty enumeration.
-        std::optional<Decision> hit;
-        {
-            obs::TraceSpan loadSpan("decide.store");
-            hit = backend->load(key);
-        }
-        if (hit) {
-            m.storeHit.inc();
-            hit->storeHit = true;
-            stamp(*hit);
-            return *std::move(hit);
-        }
+    if (std::optional<Decision> hit = serve(key, cache, backend)) {
+        stamp(*hit);
+        return hit;
     }
 
     if (prescreenApplies(query)) {
         obs::TraceSpan prescreenSpan("decide.prescreen");
-        const analysis::PrescreenResult pre = batch
-            ? batch->prescreenFor(*query.test).screen(query.model)
-            : analysis::prescreen(*query.test, query.model);
+        const analysis::PrescreenResult pre =
+            batch.prescreenFor(*query.test).screen(query.model);
         if (pre.verdict == analysis::PrescreenVerdict::Forbidden) {
             // Sound for the verdict only: no outcomes are enumerated,
             // so the decision is never cached (a prescreen-off query
@@ -807,59 +833,46 @@ decideQuery(const Query &query, DecisionCache *cache,
             && model::supportsEngine(ModelKind::SC, engine)) {
             // The model's outcome set provably equals SC's: decide the
             // SC query (usually already cached) with the same engine.
-            // The inner call skips re-screening; the result is exact,
-            // but is not re-inserted under this query's key so that
-            // prescreen-off consumers always exercise the real engine.
-            Query sub = query;
-            sub.model = ModelKind::SC;
-            sub.options.prescreen = false;
-            sub.engine = engine == Engine::Axiomatic
-                ? EngineSelect::Axiomatic
-                : engine == Engine::Operational
-                ? EngineSelect::Operational
-                : EngineSelect::Cat;
-            if (pending && engine == Engine::Axiomatic) {
-                // Defer the delegation onto the fused pass's SC lane.
-                // The inner SC decision is its own request (terminal
-                // at finish time: the cache once an SC group member
-                // or earlier delegator published it, the store, or
-                // the lane itself), so count its arrival now.
-                m.requests.inc();
-                pending->key = key;
-                pending->innerKey = queryKeyHashed(
-                    batch->testFp(*query.test), sub, engine);
-                pending->delegateSc = true;
-                pending->start = start;
-                return std::nullopt;
+            const Query sub = scSubQuery(query, engine);
+            if (engine != Engine::Axiomatic) {
+                return finishDelegation(
+                    query,
+                    *decideQuery(sub, cache, backend, batch, pending),
+                    engine, key, backend, start, span.id());
             }
-            Decision d =
-                *decideQuery(sub, cache, backend, batch, nullptr);
-            d.engine = engine;
-            d.cacheHit = false;
-            d.prescreened = PrescreenKind::ScDelegate;
-            m.scDelegate.inc();
-            stamp(d);
-            // Persist under *this* query's key too (the delegated set
-            // is exact), so a later run is one store hit instead of a
-            // re-screen plus delegation -- but only when the inner
-            // decision carries real outcomes: if it was itself a store
-            // hit it is verdict-only, and persisting its empty set here
-            // would corrupt the round-trip witness.
-            if (backend && !d.storeHit) {
-                backend->store(key, query, d);
-                m.storeWrite.inc();
+            // The inner SC decision is its own request.  Serve it now
+            // when the cache or the store has it, so a delegation
+            // never runs an enumeration for a known SC answer -- unless
+            // this batch already pended the SC run: then the finish
+            // phase looks it up once that run has published it.
+            m.requests.inc();
+            pending.key = key;
+            pending.innerKey =
+                keyed ? queryKeyHashed(batch.testFp(*query.test), sub,
+                                       engine)
+                      : 0;
+            pending.delegateSc = true;
+            pending.start = start;
+            if (!batch.pended.count(pending.innerKey)) {
+                if (std::optional<Decision> inner =
+                        serve(pending.innerKey, cache, backend)) {
+                    m.wallUs.sample(uint64_t(secondsSince(start) * 1e6));
+                    return finishDelegation(query, *std::move(inner),
+                                            engine, key, backend, start,
+                                            span.id());
+                }
+                pending.innerMissed = true;
             }
-            return d;
+            return std::nullopt;
         }
     }
 
-    if (pending && engine == Engine::Axiomatic) {
+    if (engine == Engine::Axiomatic) {
         // Defer the enumeration onto the fused pass: the finish phase
         // reads this model's filter lane and runs
         // finishEngineDecision() with this request's key and start.
-        pending->key = key;
-        pending->delegateSc = false;
-        pending->start = start;
+        pending.key = key;
+        pending.start = start;
         return std::nullopt;
     }
 
@@ -867,28 +880,14 @@ decideQuery(const Query &query, DecisionCache *cache,
     d.engine = engine;
     {
         obs::TraceSpan engineSpan("decide.engine");
-        switch (engine) {
-          case Engine::Axiomatic:
-            runAxiomatic(query, d, batch);
-            break;
-          case Engine::Operational:
-            runOperational(query, d);
-            break;
-          case Engine::Cat:
+        if (engine == Engine::Cat)
             runCat(query, d, batch);
-            break;
-        }
+        else
+            runOperational(query, d);
     }
     finishEngineDecision(query, d, key, cache, backend, start,
                          span.id());
     return d;
-}
-
-Decision
-decideImpl(const Query &query, DecisionCache *cache,
-           DecisionBackend *backend, BatchContext *batch)
-{
-    return *decideQuery(query, cache, backend, batch, nullptr);
 }
 
 } // anonymous namespace
@@ -896,7 +895,7 @@ decideImpl(const Query &query, DecisionCache *cache,
 Decision
 decide(const Query &query, DecisionCache *cache, DecisionBackend *backend)
 {
-    return decideImpl(query, cache, backend, nullptr);
+    return std::move(decideBatch({query}, cache, backend).front());
 }
 
 std::vector<Decision>
@@ -973,11 +972,12 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
         PendingEngine pend;
         pend.slot = idx;
         std::optional<Decision> d =
-            decideQuery(q, cache, backend, &batch, &pend);
+            decideQuery(q, cache, backend, batch, pend);
         if (d) {
             out[idx] = *std::move(d);
             continue;
         }
+        batch.pended.insert(pend.delegateSc ? pend.innerKey : pend.key);
         const axiomatic::Options opts = seededOptions(q);
         auto [it, fresh] = fusedIndex.try_emplace(
             {q.test, axOptionsKey(opts)}, fused.size());
@@ -995,26 +995,24 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
     // Fused pass: one shared enumeration per group -- the rf stream,
     // value fixpoint and coherence walk run once, with one built-in
     // filter lane per model -- then each pended request finishes from
-    // its lane exactly as its inline run would have.
-    DecideMetrics &m = decideMetrics();
+    // its lane.
     for (FusedGroup &g : fused) {
         bm.fusedGroups.inc();
         bm.fusedQueries.inc(g.members.size());
-        axiomatic::CandidateEnumerator &arena =
-            batch.arenaFor(*g.test, g.opts);
         std::vector<axiomatic::CheckerStats> laneStats;
         std::vector<litmus::OutcomeSet> sets;
         {
             obs::TraceSpan engineSpan("decide.engine");
+            axiomatic::CandidateEnumerator enumerator(*g.test, g.opts);
             sets = axiomatic::enumerateModels(
-                arena, g.lanes, g.opts.enforceInstOrder, &laneStats,
-                &batch.ppoShapes);
+                enumerator, g.lanes, g.opts.enforceInstOrder,
+                &laneStats, &batch.ppoShapes);
         }
-        auto laneDecision = [&](const FusedGroup &grp, size_t lane) {
+        auto laneDecision = [&](size_t lane) {
             Decision d;
             d.engine = Engine::Axiomatic;
             d.outcomes = sets[lane];
-            d.allowed = anyConditionMatch(*grp.test, d.outcomes);
+            d.allowed = anyConditionMatch(*g.test, d.outcomes);
             d.statesVisited = laneStats[lane].coCandidates;
             d.enumStats = laneStats[lane];
             d.complete = true;
@@ -1023,7 +1021,7 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
         for (const PendingEngine &p : g.members) {
             const Query &q = queries[p.slot];
             if (!p.delegateSc) {
-                Decision d = laneDecision(g, p.lane);
+                Decision d = laneDecision(p.lane);
                 obs::TraceSpan span("decide");
                 finishEngineDecision(q, d, p.key, cache, backend,
                                      p.start, span.id());
@@ -1031,72 +1029,32 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
                 continue;
             }
             // A deferred ScDelegate: terminate the inner SC request
-            // first -- at the cache (the group's SC member or an
-            // earlier delegator published it), at the store, or from
-            // the SC lane -- then complete the delegation exactly as
-            // the inline prescreen path does.
+            // first -- at the cache or the store when an earlier member
+            // published it, else from the SC lane -- then complete the
+            // delegation.
             std::optional<Decision> inner;
-            if (cache) {
-                obs::TraceSpan lookupSpan("decide.cache");
-                inner = cache->lookup(p.innerKey);
-                if (inner) {
-                    m.cacheHit.inc();
-                    inner->cacheHit = true;
-                } else {
-                    m.cacheMiss.inc();
-                }
-            }
-            if (!inner && backend) {
-                obs::TraceSpan loadSpan("decide.store");
-                inner = backend->load(p.innerKey);
-                if (inner) {
-                    m.storeHit.inc();
-                    inner->storeHit = true;
-                }
-            }
+            if (!p.innerMissed)
+                inner = serve(p.innerKey, cache, backend);
             if (inner) {
-                m.wallUs.sample(uint64_t(
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - p.start)
-                        .count()
-                    * 1e6));
+                decideMetrics().wallUs.sample(
+                    uint64_t(secondsSince(p.start) * 1e6));
             } else {
-                Decision d = laneDecision(g, p.lane);
-                Query sub = q;
-                sub.model = ModelKind::SC;
-                sub.options.prescreen = false;
-                sub.engine = EngineSelect::Axiomatic;
+                Decision d = laneDecision(p.lane);
                 obs::TraceSpan innerSpan("decide");
-                finishEngineDecision(sub, d, p.innerKey, cache,
-                                     backend, p.start, innerSpan.id());
+                finishEngineDecision(scSubQuery(q, Engine::Axiomatic), d,
+                                     p.innerKey, cache, backend, p.start,
+                                     innerSpan.id());
                 inner = std::move(d);
             }
-            Decision d = *std::move(inner);
-            d.engine = Engine::Axiomatic;
-            d.cacheHit = false;
-            d.prescreened = PrescreenKind::ScDelegate;
-            m.scDelegate.inc();
             obs::TraceSpan span("decide");
-            d.wallSeconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - p.start)
-                    .count();
-            d.traceSpanId = span.id();
-            m.wallUs.sample(uint64_t(d.wallSeconds * 1e6));
-            // Persist under the delegator's own key too, exactly as
-            // the inline path: only when the inner decision carries
-            // real outcomes (a store-served inner is verdict-only).
-            if (backend && !d.storeHit) {
-                backend->store(p.key, q, d);
-                m.storeWrite.inc();
-            }
-            out[p.slot] = std::move(d);
+            out[p.slot] = finishDelegation(q, *std::move(inner),
+                                           Engine::Axiomatic, p.key,
+                                           backend, p.start, span.id());
         }
     }
 
     bm.groups.inc(groups);
     bm.planReuse.inc(batch.planReuse);
-    bm.arenaReuse.inc(batch.arenaReuse);
     return out;
 }
 

@@ -92,11 +92,12 @@ struct RunOptions
 {
     /**
      * Worker threads (1 = serial, 0 = hardware concurrency): the
-     * operational explorer's frontier workers, and the enumeration
-     * engines' parallel search over top-level read-from prefixes
-     * (axiomatic::Options::searchThreads).  Does not affect the
-     * decision: both parallel merges are deterministic, and truncated
-     * runs are never cached.
+     * operational explorer's frontier workers, and the cat engine's
+     * parallel search over top-level read-from prefixes
+     * (axiomatic::Options::searchThreads).  Axiomatic decisions ignore
+     * it: they run on the fused enumeration pass (see decideBatch()),
+     * which is serial.  Does not affect the decision: the parallel
+     * merges are deterministic, and truncated runs are never cached.
      */
     unsigned threads = 1;
     /**
@@ -356,7 +357,11 @@ model::Engine resolveEngine(const Query &query);
 /**
  * Decide @p query: resolve the engine through the registry, serve from
  * @p cache when possible, then from @p backend, otherwise run the
- * engine and memoize.
+ * engine and memoize.  Defined as the one-query batch,
+ * `decideBatch({query}, cache, backend)[0]`: there is one decide
+ * pipeline, and everything decideBatch() documents holds here --
+ * in particular, axiomatic decisions are serial whatever
+ * RunOptions::threads says.
  *
  * @param cache   the memoization cache; nullptr disables caching
  *                entirely (every call recomputes).  Defaults to the
@@ -376,35 +381,38 @@ Decision decide(const Query &query,
                 DecisionBackend *backend = nullptr);
 
 /**
- * Decide a batch of queries through the same pipeline as decide(),
- * amortizing per-query fixed costs across the batch:
+ * Decide a batch of queries -- the decide pipeline itself; decide() is
+ * its one-query case.  Each query goes through the cache, the backend,
+ * the static pre-screen and then an engine, and the batch amortizes
+ * per-query fixed costs:
  *
  *  - axiomatic engine runs are *fused*: every query that reaches the
  *    axiomatic engine against the same (test, checker options) pair
  *    is deferred, and one shared enumeration pass decides them all
  *    (axiomatic::enumerateModels) -- the rf-candidate stream, the
  *    value fixpoint and the coherence walk run once, with one filter
- *    lane per model.  SC-delegated queries join the pass's SC lane.
- *    The fused pass is serial (RunOptions::threads is ignored for
- *    these queries) and one preservedProgramOrder() memo is shared
- *    across the whole batch;
+ *    lane per model.  SC-delegated queries whose SC answer is not in
+ *    the cache or the backend join the pass's SC lane.  The fused
+ *    pass is serial (RunOptions::threads is ignored for these
+ *    queries, and does not split a group) and one
+ *    preservedProgramOrder() memo is shared across the whole batch;
  *  - each distinct cat model is compiled once per batch and the plan
  *    shared by every query in its group (CatEngine::usePlan);
- *  - each distinct test gets one CandidateBuilder arena
- *    and one litmus::fingerprint() hash, reused by every key
- *    computation.
+ *  - each distinct test gets one litmus::fingerprint() hash and one
+ *    prescreen value fixpoint, reused by every query on it.
  *
  * Results are returned in input order, and every query decides
- * exactly as the equivalent decide() call would -- same verdict, same
- * outcome set, same per-model enumeration counters, same cache/store/
- * prescreen interactions (decision_batch_test pins the equivalence).
- * One caveat: duplicate identical queries *within one batch* each run
- * the (shared) engine pass instead of the second hitting the cache,
- * so each lands on an engine terminal counter; verdicts and persisted
- * records are unaffected.  The per-request decide.* metrics otherwise
- * fire as usual; decide.batch.* counts the batch calls, grouped
- * queries, fused passes and their fan-in, and how often a plan or
- * builder arena was served from the batch instead of rebuilt.
+ * exactly as it would in a batch of its own, i.e. as decide() -- same
+ * verdict, same outcome set, same per-model enumeration counters,
+ * same cache/store/prescreen interactions as a decide() loop over the
+ * same queries (decision_batch_test pins the equivalence).  One
+ * caveat: duplicate identical queries *within one batch* each run the
+ * (shared) engine pass instead of the second hitting the cache, so
+ * each lands on an engine terminal counter; verdicts and persisted
+ * records are unaffected.  The per-request decide.* metrics fire as
+ * usual; decide.batch.* counts the batch calls, grouped queries, fused
+ * passes and their fan-in, and how often a compiled plan was served
+ * from the batch instead of rebuilt.
  */
 std::vector<Decision>
 decideBatch(const std::vector<Query> &queries,

@@ -116,67 +116,6 @@ runPaperMatrix(const std::vector<litmus::LitmusTest> &tests,
     return runJobs(jobs, options);
 }
 
-// --------------------------------------------- legacy bool wrappers
-
-bool
-axiomaticAllowed(const litmus::LitmusTest &test, ModelKind model)
-{
-    Query query;
-    query.test = &test;
-    query.model = model;
-    query.engine = EngineSelect::Axiomatic;
-    return decide(query).allowed;
-}
-
-bool
-operationalAllowed(const litmus::LitmusTest &test, ModelKind model)
-{
-    Query query;
-    query.test = &test;
-    query.model = model;
-    query.engine = EngineSelect::Operational;
-    return decide(query).allowed;
-}
-
-bool
-operationalAllowedParallel(const litmus::LitmusTest &test,
-                           ModelKind model, unsigned threads)
-{
-    Query query;
-    query.test = &test;
-    query.model = model;
-    query.engine = EngineSelect::Operational;
-    query.options.threads = threads;
-    return decide(query).allowed;
-}
-
-std::vector<LitmusVerdict>
-runLitmusMatrix(const std::vector<litmus::LitmusTest> &tests)
-{
-    MatrixOptions options;
-    options.poolThreads = 1;
-    return runPaperMatrix(tests, options);
-}
-
-std::vector<LitmusVerdict>
-runLitmusMatrixParallel(const std::vector<litmus::LitmusTest> &tests,
-                        unsigned threads)
-{
-    MatrixOptions options;
-    options.poolThreads = threads;
-    return runPaperMatrix(tests, options);
-}
-
-std::vector<LitmusVerdict>
-runLitmusMatrixParallel(const std::vector<litmus::LitmusTest> &tests,
-                        const std::vector<model::ModelKind> &models,
-                        unsigned threads)
-{
-    MatrixOptions options;
-    options.poolThreads = threads;
-    return runLitmusMatrix(tests, models, options);
-}
-
 void
 annotateExpected(litmus::LitmusTest &test,
                  const std::vector<model::ModelKind> &models)

@@ -15,12 +15,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <vector>
 
 #include "campaign/driver.hh"
 #include "campaign/enumerate.hh"
 #include "campaign/store.hh"
 #include "harness/decision.hh"
+#include "harness/litmus_runner.hh"
 #include "litmus/generator.hh"
 #include "litmus/suite.hh"
 
@@ -648,9 +650,9 @@ TEST(CampaignDriver, FormatsSummaries)
 
 TEST(CampaignDriver, LegacyPipelineMatchesTheBatchedOne)
 {
-    // batching=false is the PR 8 static-shard decide() pipeline, kept
-    // for A/B benchmarking; both pipelines must produce identical
-    // results and identical stores.
+    // The campaign decides chunks through decideBatch(); a per-query
+    // decide() loop over the same units -- the pre-batching pipeline --
+    // must persist exactly the same store.
     ScratchFile batched_file("gam_campaign_pipeline_batched.bin");
     ScratchFile legacy_file("gam_campaign_pipeline_legacy.bin");
 
@@ -658,25 +660,45 @@ TEST(CampaignDriver, LegacyPipelineMatchesTheBatchedOne)
     opt.verifySample = 5;
 
     DecisionStore batched_store(batched_file.str());
-    opt.batching = true;
     const auto batched = runCampaign(opt, &batched_store);
+    EXPECT_GT(batched.verified, 0u);
+    EXPECT_EQ(batched.verifyMismatches, 0u);
+
+    // The campaign's units: enumeration order, deduped by fingerprint.
+    std::vector<litmus::LitmusTest> units;
+    std::set<uint64_t> seen;
+    enumerateCycles(opt.enumerate, [&](const CanonicalCycle &cycle) {
+        auto test = litmus::testFromCycle(cycle.name, cycle.edges,
+                                          cycle.numLocations);
+        if (seen.insert(litmus::fingerprint(*test)).second)
+            units.push_back(std::move(*test));
+        return true;
+    });
+    ASSERT_EQ(units.size(), batched.units);
 
     DecisionStore legacy_store(legacy_file.str());
-    opt.batching = false;
-    const auto legacy = runCampaign(opt, &legacy_store);
-
-    EXPECT_EQ(batched.units, legacy.units);
-    EXPECT_EQ(batched.decisions, legacy.decisions);
-    EXPECT_EQ(batched.allowed, legacy.allowed);
-    EXPECT_EQ(batched.storeWrites, legacy.storeWrites);
-    EXPECT_EQ(batched.shardsDone, legacy.shardsDone);
-    EXPECT_EQ(batched.verifyMismatches, 0u);
-    EXPECT_EQ(legacy.verifyMismatches, 0u);
-    ASSERT_EQ(batched.tallies.size(), legacy.tallies.size());
-    for (size_t i = 0; i < batched.tallies.size(); ++i) {
-        EXPECT_EQ(batched.tallies[i].decided, legacy.tallies[i].decided);
-        EXPECT_EQ(batched.tallies[i].allowed, legacy.tallies[i].allowed);
+    harness::DecisionCache cache(opt.cacheEntries);
+    uint64_t decisions = 0, allowed = 0;
+    for (const litmus::LitmusTest &test : units) {
+        for (ModelKind m : opt.models) {
+            for (Engine e : opt.engines) {
+                harness::Query q;
+                q.test = &test;
+                q.model = m;
+                q.engine = harness::engineSelectOf(e);
+                q.options = opt.run;
+                q.options.threads = 1;
+                const harness::Decision d =
+                    harness::decide(q, &cache, &legacy_store);
+                ++decisions;
+                allowed += d.allowed ? 1 : 0;
+            }
+        }
     }
+    legacy_store.flush();
+    EXPECT_EQ(batched.decisions, decisions);
+    EXPECT_EQ(batched.allowed, allowed);
+
     // Record-for-record identical persistence: same keys, same
     // verdicts, same outcome witnesses.
     EXPECT_EQ(batched_store.size(), legacy_store.size());

@@ -1,8 +1,9 @@
 /**
  * Tests for the batched decision pipeline (harness::decideBatch):
- * query-for-query equivalence with decide() across every builtin test,
- * model and enumeration engine, identical cache and backend
- * interactions, and the batch amortization counters
+ * query-for-query equivalence of one large batch with a decide() loop
+ * (one-query batches) across every builtin test, model and enumeration
+ * engine, identical cache and backend interactions, fused lanes
+ * against the solo checker, and the batch amortization counters
  * (decide.batch.plan_reuse / fused_groups / fused_queries).
  */
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "axiomatic/checker.hh"
 #include "harness/decision.hh"
 #include "litmus/outcome.hh"
 #include "litmus/suite.hh"
@@ -187,14 +189,13 @@ TEST(DecideBatch, BackendInteractionsMatchDecide)
     }
 }
 
-TEST(DecideBatch, ReusesPlansAndFusesArenasWithinABatch)
+TEST(DecideBatch, ReusesPlansAndFusesLanesWithinABatch)
 {
     // Two cat models over two tests: each model's plan compiles once
     // and serves its second query.  Two axiomatic models over the same
     // tests: each test's queries fuse into ONE enumeration pass with
-    // one filter lane per model, so the arena is built once per test
-    // and never *re*-used (fused_queries / fused_groups is the
-    // amortization instead).
+    // one filter lane per model (fused_queries / fused_groups is the
+    // amortization).
     const auto &mp = litmus::testByName("mp");
     const auto &sb = litmus::testByName("dekker");
     std::vector<Query> queries = {
@@ -222,11 +223,38 @@ TEST(DecideBatch, ReusesPlansAndFusesArenasWithinABatch)
     // GAM.cat and GAM0.cat each compile once and reuse once.
     EXPECT_EQ(delta.counter("decide.batch.plan_reuse"), 2u);
     // mp and sb each run ONE fused enumeration deciding both
-    // axiomatic models (plus any SC-delegation lane), so the arena is
-    // built exactly once per test -- nothing left to reuse.
+    // axiomatic models (plus any SC-delegation lane).
     EXPECT_EQ(delta.counter("decide.batch.fused_groups"), 2u);
     EXPECT_EQ(delta.counter("decide.batch.fused_queries"), 4u);
-    EXPECT_EQ(delta.counter("decide.batch.arena_reuse"), 0u);
+}
+
+TEST(DecideBatch, ThreadCountsShareOneFusedGroup)
+{
+    // The fused pass is serial, so RunOptions::threads must not split
+    // a test's axiomatic queries into separate passes, nor change a
+    // verdict.
+    const auto &test = litmus::testByName("dekker");
+    std::vector<Query> queries;
+    for (unsigned threads : {1u, 4u}) {
+        for (ModelKind model : {ModelKind::TSO, ModelKind::GAM}) {
+            Query q = queryFor(test, model, EngineSelect::Axiomatic);
+            q.options.prescreen = false;
+            q.options.threads = threads;
+            queries.push_back(q);
+        }
+    }
+    const obs::MetricSnapshot before = obs::metrics().snapshot();
+    const std::vector<Decision> batched = decideBatch(queries, nullptr);
+    const obs::MetricSnapshot delta =
+        obs::metrics().snapshot().delta(before);
+    EXPECT_EQ(delta.counter("decide.batch.fused_groups"), 1u);
+    EXPECT_EQ(delta.counter("decide.batch.fused_queries"), 4u);
+    for (size_t i = 0; i < queries.size(); ++i) {
+        Query serial = queries[i];
+        serial.options.threads = 1;
+        expectSameDecision(batched[i], decide(serial, nullptr),
+                           queries[i], i);
+    }
 }
 
 /** Every CheckerStats field: a fused lane must count what solo does. */
@@ -249,7 +277,8 @@ expectSameStats(const axiomatic::CheckerStats &lane,
 
 /**
  * Decide @p test under @p models in one batch (prescreen off, so every
- * query runs as a lane of one fused pass) and each query alone, and
+ * query runs as a lane of one fused pass) and each model alone on the
+ * solo checker (Checker::enumerate, seeded as decide() seeds), and
  * require equal outcome sets and lane counters.  Returns the registry
  * delta of the batch.
  */
@@ -271,13 +300,17 @@ expectFusedLanesMatchSolo(const char *name,
         obs::metrics().snapshot().delta(before);
     EXPECT_EQ(delta.counter("decide.batch.fused_groups"), 1u) << name;
     for (size_t i = 0; i < queries.size(); ++i) {
-        DecisionCache soloCache(1 << 12);
-        const Decision solo = decide(queries[i], &soloCache);
+        axiomatic::Checker solo(test, queries[i].model,
+                                axiomatic::withConditionSeeds(test, {}));
+        const litmus::OutcomeSet outcomes = solo.enumerate();
         const std::string what = std::string(name) + " under "
             + model::modelName(queries[i].model);
-        EXPECT_EQ(fused[i].outcomes, solo.outcomes) << what;
-        EXPECT_EQ(fused[i].allowed, solo.allowed) << what;
-        expectSameStats(fused[i].enumStats, solo.enumStats, what);
+        EXPECT_EQ(fused[i].outcomes, outcomes) << what;
+        bool allowed = false;
+        for (const litmus::Outcome &o : outcomes)
+            allowed = allowed || test.conditionMatches(o);
+        EXPECT_EQ(fused[i].allowed, allowed) << what;
+        expectSameStats(fused[i].enumStats, solo.stats(), what);
     }
     return delta;
 }

@@ -1,8 +1,7 @@
 /**
  * Tests for the unified decide(Query) -> Decision API: engine
- * registry/capability introspection, parity with the legacy bool
- * entry points and with the engines invoked directly, and the
- * correctness of the memoizing DecisionCache.
+ * registry/capability introspection, parity with the engines invoked
+ * directly, and the correctness of the memoizing DecisionCache.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +14,7 @@
 #include "harness/litmus_runner.hh"
 #include "litmus/suite.hh"
 #include "model/engine.hh"
+#include "obs/registry.hh"
 #include "operational/explorer.hh"
 #include "operational/gam_machine.hh"
 #include "operational/sc_machine.hh"
@@ -111,33 +111,68 @@ TEST(EngineRegistry, AutoPrefersAxiomaticWhenDefined)
               Engine::Operational);
 }
 
-TEST(DecisionParity, MatchesLegacyEntryPointsOnAllBuiltins)
+TEST(DecisionParity, CachedMatchesUncachedOnAllBuiltins)
 {
+    // A cache-backed decide() must give the verdict an uncached one
+    // computes, and the explorer's verdict must not depend on its
+    // worker count.
     DecisionCache cache;
     for (const auto &test : litmus::allTests()) {
         for (ModelKind model : allModels) {
             if (model::supportsEngine(model, Engine::Axiomatic)) {
-                const Decision d = decide(
-                    queryFor(test, model, EngineSelect::Axiomatic),
-                    &cache);
-                EXPECT_EQ(d.allowed, axiomaticAllowed(test, model))
+                const Query q =
+                    queryFor(test, model, EngineSelect::Axiomatic);
+                const Decision d = decide(q, &cache);
+                EXPECT_EQ(d.allowed, decide(q, nullptr).allowed)
                     << test.name << " " << model::modelName(model);
                 EXPECT_EQ(d.engine, Engine::Axiomatic);
                 EXPECT_TRUE(d.complete);
             }
             if (model::supportsEngine(model, Engine::Operational)) {
-                const Decision d = decide(
-                    queryFor(test, model, EngineSelect::Operational),
-                    &cache);
-                EXPECT_EQ(d.allowed, operationalAllowed(test, model))
+                Query q = queryFor(test, model, EngineSelect::Operational);
+                const Decision d = decide(q, &cache);
+                EXPECT_EQ(d.allowed, decide(q, nullptr).allowed)
                     << test.name << " " << model::modelName(model);
-                EXPECT_EQ(d.allowed,
-                          operationalAllowedParallel(test, model, 4))
+                q.options.threads = 4;
+                EXPECT_EQ(d.allowed, decide(q, nullptr).allowed)
                     << test.name << " " << model::modelName(model);
                 EXPECT_EQ(d.engine, Engine::Operational);
             }
         }
     }
+}
+
+TEST(DecisionParity, DelegationServesACachedScAnswerWithoutAnEngine)
+{
+    // mp's po-adjacent pairs (store-store, load-load) are all kept by
+    // TSO, so the prescreen delegates its TSO query to SC.  Once the SC
+    // decision is cached, the delegation is one cache hit: no
+    // enumeration may run for it.
+    const auto &test = litmus::testByName("mp");
+    DecisionCache cache;
+    const Decision sc =
+        decide(queryFor(test, ModelKind::SC, EngineSelect::Axiomatic),
+               &cache);
+
+    const obs::MetricSnapshot before = obs::metrics().snapshot();
+    const Decision tso =
+        decide(queryFor(test, ModelKind::TSO, EngineSelect::Axiomatic),
+               &cache);
+    const obs::MetricSnapshot delta =
+        obs::metrics().snapshot().delta(before);
+
+    EXPECT_EQ(tso.prescreened, PrescreenKind::ScDelegate);
+    EXPECT_EQ(tso.engine, Engine::Axiomatic);
+    EXPECT_FALSE(tso.cacheHit);
+    EXPECT_EQ(tso.outcomes, sc.outcomes);
+    EXPECT_EQ(tso.allowed, sc.allowed);
+    EXPECT_EQ(delta.counter("decide.engine.axiomatic"), 0u);
+    EXPECT_EQ(delta.counter("decide.batch.fused_groups"), 0u);
+    // Two requests (the delegator and its inner SC query), ending at
+    // the SC cache hit and the delegation.
+    EXPECT_EQ(delta.counter("decide.requests"), 2u);
+    EXPECT_EQ(delta.counter("decide.cache.hit"), 1u);
+    EXPECT_EQ(delta.counter("decide.prescreen.sc_delegate"), 1u);
 }
 
 TEST(DecisionParity, MatchesEnginesInvokedDirectly)

@@ -101,7 +101,7 @@ TEST(Generator, AnnotatedVerdictsMatchTheOperationalEngine)
         harness::annotateExpected(tests.back(), equal_models);
     }
     const auto verdicts =
-        harness::runLitmusMatrixParallel(tests, equal_models, 0);
+        harness::runLitmusMatrix(tests, equal_models);
     for (const auto &v : verdicts) {
         EXPECT_TRUE(v.matchesPaper())
             << v.test << " under " << model::modelName(v.model);

@@ -13,6 +13,28 @@ namespace
 
 using model::ModelKind;
 
+/** decide()'s verdict for @p test under @p model on @p engine. */
+bool
+allowedBy(const litmus::LitmusTest &test, ModelKind model,
+          EngineSelect engine, unsigned threads = 1,
+          DecisionCache *cache = &globalDecisionCache())
+{
+    Query q;
+    q.test = &test;
+    q.model = model;
+    q.engine = engine;
+    q.options.threads = threads;
+    return decide(q, cache).allowed;
+}
+
+MatrixOptions
+poolOf(unsigned threads)
+{
+    MatrixOptions options;
+    options.poolThreads = threads;
+    return options;
+}
+
 std::vector<RunResult>
 syntheticResults()
 {
@@ -121,16 +143,16 @@ TEST(HarnessRun, RunOneProducesStats)
 TEST(LitmusRunner, AxiomaticDekkerVerdicts)
 {
     const auto &t = litmus::testByName("dekker");
-    EXPECT_FALSE(axiomaticAllowed(t, ModelKind::SC));
-    EXPECT_TRUE(axiomaticAllowed(t, ModelKind::GAM));
+    EXPECT_FALSE(allowedBy(t, ModelKind::SC, EngineSelect::Axiomatic));
+    EXPECT_TRUE(allowedBy(t, ModelKind::GAM, EngineSelect::Axiomatic));
 }
 
 TEST(LitmusRunner, OperationalDekkerVerdicts)
 {
     const auto &t = litmus::testByName("dekker");
-    EXPECT_FALSE(operationalAllowed(t, ModelKind::SC));
-    EXPECT_TRUE(operationalAllowed(t, ModelKind::TSO));
-    EXPECT_TRUE(operationalAllowed(t, ModelKind::GAM));
+    EXPECT_FALSE(allowedBy(t, ModelKind::SC, EngineSelect::Operational));
+    EXPECT_TRUE(allowedBy(t, ModelKind::TSO, EngineSelect::Operational));
+    EXPECT_TRUE(allowedBy(t, ModelKind::GAM, EngineSelect::Operational));
 }
 
 TEST(LitmusRunner, ParallelMatrixMatchesSerial)
@@ -139,9 +161,9 @@ TEST(LitmusRunner, ParallelMatrixMatchesSerial)
     // the parallel matrix must equal the serial one element-for-element
     // at any team size.
     const auto &tests = litmus::paperSuite();
-    const auto serial = runLitmusMatrix(tests);
+    const auto serial = runPaperMatrix(tests, poolOf(1));
     for (unsigned threads : {1u, 2u, 8u}) {
-        const auto parallel = runLitmusMatrixParallel(tests, threads);
+        const auto parallel = runPaperMatrix(tests, poolOf(threads));
         ASSERT_EQ(parallel.size(), serial.size());
         for (size_t i = 0; i < serial.size(); ++i) {
             EXPECT_EQ(parallel[i].test, serial[i].test);
@@ -159,8 +181,10 @@ TEST(LitmusRunner, OperationalParallelAgreesOnVerdicts)
         const auto &t = litmus::testByName(name);
         for (ModelKind kind : {ModelKind::SC, ModelKind::TSO,
                                ModelKind::GAM}) {
-            EXPECT_EQ(operationalAllowedParallel(t, kind, 4),
-                      operationalAllowed(t, kind))
+            // No cache, so the 4-worker explorer really runs.
+            EXPECT_EQ(allowedBy(t, kind, EngineSelect::Operational, 4,
+                                nullptr),
+                      allowedBy(t, kind, EngineSelect::Operational))
                 << name << " under " << model::modelName(kind);
         }
     }
@@ -169,7 +193,7 @@ TEST(LitmusRunner, OperationalParallelAgreesOnVerdicts)
 TEST(LitmusRunner, MatrixOnOneTest)
 {
     std::vector<litmus::LitmusTest> one{litmus::testByName("corr")};
-    auto verdicts = runLitmusMatrix(one);
+    auto verdicts = runPaperMatrix(one, poolOf(1));
     EXPECT_FALSE(verdicts.empty());
     for (const auto &v : verdicts)
         EXPECT_TRUE(v.matchesPaper())

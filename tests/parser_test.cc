@@ -16,7 +16,7 @@
 #include <limits>
 #include <sstream>
 
-#include "harness/litmus_runner.hh"
+#include "harness/decision.hh"
 #include "isa/assembler.hh"
 #include "litmus/parser.hh"
 #include "litmus/suite.hh"
@@ -28,6 +28,23 @@ namespace
 {
 
 using litmus::LitmusTest;
+
+/** decide()'s verdict for @p test under @p model on @p engine. */
+bool
+allowedBy(const LitmusTest &test, model::ModelKind model,
+          harness::EngineSelect engine)
+{
+    harness::Query q;
+    q.test = &test;
+    q.model = model;
+    q.engine = engine;
+    return harness::decide(q).allowed;
+}
+
+constexpr harness::EngineSelect Axiomatic =
+    harness::EngineSelect::Axiomatic;
+constexpr harness::EngineSelect Operational =
+    harness::EngineSelect::Operational;
 using litmus::parseLitmus;
 using litmus::printLitmus;
 
@@ -79,11 +96,11 @@ TEST(Parser, ParsedTestKeepsEngineVerdicts)
         ASSERT_TRUE(parsed) << parsed.error.toString();
         for (model::ModelKind kind :
              {model::ModelKind::SC, model::ModelKind::GAM}) {
-            EXPECT_EQ(harness::axiomaticAllowed(original, kind),
-                      harness::axiomaticAllowed(*parsed, kind))
+            EXPECT_EQ(allowedBy(original, kind, Axiomatic),
+                      allowedBy(*parsed, kind, Axiomatic))
                 << name;
-            EXPECT_EQ(harness::operationalAllowed(original, kind),
-                      harness::operationalAllowed(*parsed, kind))
+            EXPECT_EQ(allowedBy(original, kind, Operational),
+                      allowedBy(*parsed, kind, Operational))
                 << name;
         }
     }
@@ -126,10 +143,8 @@ expect GAM allowed
     ASSERT_TRUE(reparsed);
     EXPECT_EQ(canon, printLitmus(*reparsed));
     // And the verdicts come out right.
-    EXPECT_FALSE(harness::axiomaticAllowed(*parsed,
-                                           model::ModelKind::SC));
-    EXPECT_TRUE(harness::axiomaticAllowed(*parsed,
-                                          model::ModelKind::GAM));
+    EXPECT_FALSE(allowedBy(*parsed, model::ModelKind::SC, Axiomatic));
+    EXPECT_TRUE(allowedBy(*parsed, model::ModelKind::GAM, Axiomatic));
 }
 
 struct BadDoc

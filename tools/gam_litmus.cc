@@ -51,14 +51,13 @@
  *                           [--resume] [--verify N]
  *                           [--min-store-hit-rate P] [--quiet]
  *                           [--no-fences] [--no-deps] [--no-rmws]
- *                           [--no-batching] [--no-prescreen]
+ *                           [--no-prescreen]
  *                           [--metrics FILE] [--trace FILE]
  *       Decide the exhaustive canonical test universe up to the given
  *       cycle length under every requested (model, engine) pair, with
  *       batched decides work-stolen over a thread pool.  --canonical
  *       full shrinks the universe by the symmetry quotient
- *       (campaign/symmetry.hh) before deciding; --no-batching falls
- *       back to the one-decide-per-query pipeline; --no-prescreen
+ *       (campaign/symmetry.hh) before deciding; --no-prescreen
  *       sends every query to an engine, skipping the static
  *       pre-screen (analysis/prescreen.hh).  --store appends
  *       every decision to a crash-safe persistent store consulted
@@ -960,10 +959,6 @@ cmdCampaignRun(int argc, char **argv)
         }
         if (arg == "--no-rmws") {
             options.enumerate.rmws = false;
-            continue;
-        }
-        if (arg == "--no-batching") {
-            options.batching = false;
             continue;
         }
         if (arg == "--no-prescreen") {
