@@ -16,6 +16,7 @@
 #include "base/hashing.hh"
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
+#include "harness/litmus_runner.hh"
 #include "litmus/test.hh"
 #include "obs/trace.hh"
 
@@ -126,18 +127,6 @@ class Checkpoint
     std::unordered_set<unsigned> finished;
 };
 
-harness::EngineSelect
-selectFor(Engine engine)
-{
-    switch (engine) {
-      case Engine::Axiomatic: return harness::EngineSelect::Axiomatic;
-      case Engine::Operational:
-        return harness::EngineSelect::Operational;
-      case Engine::Cat: break;
-    }
-    return harness::EngineSelect::Cat;
-}
-
 /** Per-shard tallies, merged in shard order once the pool drains. */
 struct ShardTally
 {
@@ -163,6 +152,36 @@ percent(uint64_t part, uint64_t whole)
 
 } // namespace
 
+CampaignUnits
+prepareUnits(const CampaignOptions &options)
+{
+    CampaignUnits out;
+    std::unordered_set<uint64_t> seen;
+    out.enumerate = enumerateCycles(
+        options.enumerate, [&](const CanonicalCycle &cycle) {
+            auto test = litmus::testFromCycle(cycle.name, cycle.edges,
+                                              cycle.numLocations);
+            GAM_ASSERT(test.has_value(),
+                       "campaign: emitted cycle '%s' failed to lower",
+                       cycle.name.c_str());
+            if (!seen.insert(litmus::fingerprint(*test)).second) {
+                ++out.duplicateTests;
+                return true;
+            }
+            out.cycles.push_back(cycle);
+            return options.limit == 0
+                || out.cycles.size() < options.limit;
+        });
+    for (ModelKind m : options.models)
+        for (Engine e : options.engines) {
+            if (model::supportsEngine(m, e))
+                out.pairs.emplace_back(m, e);
+            else
+                ++out.skippedPairs;
+        }
+    return out;
+}
+
 CampaignResult
 runCampaign(const CampaignOptions &options, DecisionStore *store,
             const std::function<void(const CampaignProgress &)> &progress)
@@ -182,34 +201,13 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
     CampaignResult result;
 
     // ---- prepare: enumerate, lower, dedupe ------------------------
-    std::vector<CanonicalCycle> units;
-    {
-        std::unordered_set<uint64_t> seen;
-        result.enumerate = enumerateCycles(
-            options.enumerate, [&](const CanonicalCycle &cycle) {
-                auto test = litmus::testFromCycle(cycle.name, cycle.edges,
-                                                  cycle.numLocations);
-                GAM_ASSERT(test.has_value(),
-                           "campaign: emitted cycle '%s' failed to lower",
-                           cycle.name.c_str());
-                if (!seen.insert(litmus::fingerprint(*test)).second) {
-                    ++result.duplicateTests;
-                    return true;
-                }
-                units.push_back(cycle);
-                return options.limit == 0 || units.size() < options.limit;
-            });
-    }
+    const CampaignUnits prepared = prepareUnits(options);
+    const std::vector<CanonicalCycle> &units = prepared.cycles;
+    const auto &pairs = prepared.pairs;
+    result.enumerate = prepared.enumerate;
+    result.duplicateTests = prepared.duplicateTests;
     result.units = units.size();
-
-    std::vector<std::pair<ModelKind, Engine>> pairs;
-    for (ModelKind m : options.models)
-        for (Engine e : options.engines) {
-            if (model::supportsEngine(m, e))
-                pairs.emplace_back(m, e);
-            else
-                ++result.skippedPairs;
-        }
+    result.skippedPairs = prepared.skippedPairs;
     result.pairs = pairs.size();
 
     const unsigned shard_count = std::max(1u, options.shards);
@@ -390,7 +388,7 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
                         Query q;
                         q.test = &test;
                         q.model = m;
-                        q.engine = selectFor(e);
+                        q.engine = harness::engineSelectOf(e);
                         q.options = run;
                         batch.push_back(q);
                     }

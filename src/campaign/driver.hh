@@ -6,10 +6,10 @@
  *
  * A campaign is three deterministic steps:
  *
- *  1. *Prepare*: enumerate every canonical cycle (campaign/enumerate),
- *     lower each to a litmus test, and dedupe by litmus::fingerprint
- *     (distinct canonical cycles can lower to the same program, e.g.
- *     when a dependency edge degenerates).  The surviving units keep
+ *  1. *Prepare* (prepareUnits()): enumerate every canonical cycle
+ *     (campaign/enumerate), lower each to a litmus test, and dedupe by
+ *     litmus::fingerprint (distinct canonical cycles can lower to the
+ *     same program, e.g. when a dependency edge degenerates).  The surviving units keep
  *     their enumeration order, so unit -> shard assignment (unit i to
  *     shard i mod N) is reproducible across runs and platforms.
  *  2. *Decide*: workers pull chunks of units from a shared cursor
@@ -152,6 +152,28 @@ struct CampaignResult
      */
     obs::MetricSnapshot metrics;
 };
+
+/** A campaign's work list: the result of the prepare step. */
+struct CampaignUnits
+{
+    /** Deduped canonical cycles in enumeration order (unit i). */
+    std::vector<CanonicalCycle> cycles;
+    /** The (model, engine) pairs decided for every unit. */
+    std::vector<std::pair<model::ModelKind, model::Engine>> pairs;
+    EnumerateStats enumerate;
+    /** Lowered tests discarded as fingerprint duplicates. */
+    uint64_t duplicateTests = 0;
+    /** (model, engine) pairs skipped as unsupported. */
+    uint64_t skippedPairs = 0;
+};
+
+/**
+ * The prepare step of runCampaign(): enumerate, lower, dedupe by
+ * fingerprint, cap at options.limit, and pair every model with every
+ * engine that supports it.  Unit i lowers with litmus::testFromCycle
+ * to the test runCampaign() decides as unit i.
+ */
+CampaignUnits prepareUnits(const CampaignOptions &options);
 
 /**
  * Run a campaign.  @p store may be nullptr (no persistence).  The

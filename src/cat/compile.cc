@@ -253,6 +253,21 @@ struct PlanBuilder
             collectSlots(*e.b, out);
     }
 
+    /** Does @p e mention none of rf, co and fr, even through slots? */
+    bool
+    shapeConstant(const Expr &e) const
+    {
+        if (e.kind == Expr::Kind::Name) {
+            if (e.builtin)
+                return *e.builtin != Builtin::Rf
+                    && *e.builtin != Builtin::Co
+                    && *e.builtin != Builtin::Fr;
+            return e.slot < 0 || plan.slotShapeConstant[size_t(e.slot)];
+        }
+        return (!e.a || shapeConstant(*e.a))
+            && (!e.b || shapeConstant(*e.b));
+    }
+
     static bool
     referencesSlot(const Expr &e, int slot)
     {
@@ -290,6 +305,21 @@ struct PlanBuilder
         }
         for (const Binding *b : bindings)
             slotFixpoint[size_t(b->slot)] = fixpoint;
+        // Shape constancy the same way from the other end: members
+        // start constant and lose it once a body mentions rf/co/fr or
+        // a member that already lost it (one pass when not recursive).
+        for (const Binding *b : bindings)
+            plan.slotShapeConstant[size_t(b->slot)] = true;
+        for (bool changed = true; changed;) {
+            changed = false;
+            for (const Binding *b : bindings) {
+                if (plan.slotShapeConstant[size_t(b->slot)]
+                    && !shapeConstant(*b->body)) {
+                    plan.slotShapeConstant[size_t(b->slot)] = false;
+                    changed = true;
+                }
+            }
+        }
 
         const bool live = std::any_of(
             bindings.begin(), bindings.end(),
@@ -302,9 +332,13 @@ struct PlanBuilder
         s.bindings = std::move(bindings);
         s.fixpoint = fixpoint;
         s.polarity = Polarity::Independent;
-        for (const Binding *b : s.bindings)
+        s.shapeConstant = true;
+        for (const Binding *b : s.bindings) {
             s.polarity = std::max(
                 s.polarity, plan.slotPolarity[size_t(b->slot)]);
+            s.shapeConstant = s.shapeConstant
+                && plan.slotShapeConstant[size_t(b->slot)];
+        }
         plan.strata.push_back(std::move(s));
     }
 
@@ -313,6 +347,7 @@ struct PlanBuilder
     {
         plan.slotPolarity.assign(size_t(model.slotCount),
                                  Polarity::Independent);
+        plan.slotShapeConstant.assign(size_t(model.slotCount), false);
         for (const Stmt &stmt : model.statements) {
             switch (stmt.kind) {
               case Stmt::Kind::Let:
@@ -416,6 +451,7 @@ struct PlanBuilder
 
         if (ax.polarity == Polarity::Independent) {
             ax.pass = CompiledAxiom::Pass::Stable;
+            ax.shapeConstant = shapeConstant(*stmt.check);
             return ax;
         }
 
@@ -430,6 +466,8 @@ struct PlanBuilder
                 if (exprPolarity(*part, plan.slotPolarity)
                     == Polarity::Independent) {
                     ax.constParts.push_back(part);
+                    ax.constPartShapeConstant.push_back(
+                        shapeConstant(*part));
                 } else if (bareBuiltin(*part) == Builtin::Co) {
                     ax.usesCo = true;
                 } else if (bareBuiltin(*part) == Builtin::Fr) {
@@ -444,6 +482,7 @@ struct PlanBuilder
                 return ax;
             }
             ax.constParts.clear();
+            ax.constPartShapeConstant.clear();
             ax.usesCo = ax.usesFr = false;
         }
 
@@ -457,6 +496,7 @@ struct PlanBuilder
                 ax.pass = CompiledAxiom::Pass::EdgeGuard;
                 ax.guardX = *x;
                 ax.guardY = *y;
+                markGuardShapes(ax);
                 ax.guardYTransposed = true;
                 return ax;
             }
@@ -476,6 +516,7 @@ struct PlanBuilder
                 ax.pass = CompiledAxiom::Pass::EdgeGuard;
                 ax.guardX = *x;
                 ax.guardY = *y;
+                markGuardShapes(ax);
                 ax.guardYTransposed = transposed;
                 return ax;
             }
@@ -485,6 +526,17 @@ struct PlanBuilder
             ? CompiledAxiom::Pass::Partial
             : CompiledAxiom::Pass::Residual;
         return ax;
+    }
+
+    /** Flag the EdgeGuard's constant operands that are shape-constant. */
+    void
+    markGuardShapes(CompiledAxiom &ax) const
+    {
+        using Kind = CompiledAxiom::Operand::Kind;
+        ax.guardXShapeConstant = ax.guardX.kind == Kind::Const
+            && shapeConstant(*ax.guardX.expr);
+        ax.guardYShapeConstant = ax.guardY.kind == Kind::Const
+            && shapeConstant(*ax.guardY.expr);
     }
 
     void
@@ -510,6 +562,7 @@ struct PlanBuilder
                 plan.folds.emplace(
                     &e, model.slotCount + int(plan.foldExprs.size()));
                 plan.foldExprs.push_back(&e);
+                plan.foldShapeConstant.push_back(shapeConstant(e));
             }
             return;
         }
@@ -577,14 +630,20 @@ CompiledPlan::describe() const
         for (const Binding *b : s.bindings)
             out << " " << b->name;
         out << "  " << (s.fixpoint ? "fixpoint" : "direct") << ", "
-            << polarityName(s.polarity) << "\n";
+            << polarityName(s.polarity)
+            << (s.shapeConstant ? ", per shape" : "") << "\n";
     }
 
-    out << "constants (evaluated once per rf epoch):\n";
+    out << "constants (evaluated once per rf epoch, or once per shape "
+           "where marked):\n";
+    const auto perShape = [](bool shapeConstant) {
+        return shapeConstant ? "  (per shape)\n" : "\n";
+    };
     bool anyConst = false;
     for (size_t i = 0; i < foldExprs.size(); ++i) {
         out << "  fold slot " << (model->slotCount + int(i)) << ": "
-            << exprToString(*foldExprs[i]) << "\n";
+            << exprToString(*foldExprs[i])
+            << perShape(foldShapeConstant[i]);
         anyConst = true;
     }
     const auto operandStr = [](const CompiledAxiom::Operand &op) {
@@ -600,19 +659,24 @@ CompiledPlan::describe() const
     };
     for (const CompiledAxiom &ax : axioms) {
         if (ax.pass == CompiledAxiom::Pass::FusedAcyclic) {
-            for (const Expr *part : ax.constParts) {
+            for (size_t k = 0; k < ax.constParts.size(); ++k) {
                 out << "  axiom " << ax.stmt->axiomName
-                    << " const part: " << exprToString(*part) << "\n";
+                    << " const part: " << exprToString(*ax.constParts[k])
+                    << perShape(ax.constPartShapeConstant[k]);
                 anyConst = true;
             }
         } else if (ax.pass == CompiledAxiom::Pass::EdgeGuard) {
-            for (const auto *op : {&ax.guardX, &ax.guardY})
-                if (op->kind == CompiledAxiom::Operand::Kind::Const) {
+            for (const bool x : {true, false}) {
+                const CompiledAxiom::Operand &op =
+                    x ? ax.guardX : ax.guardY;
+                if (op.kind == CompiledAxiom::Operand::Kind::Const) {
                     out << "  axiom " << ax.stmt->axiomName
-                        << " guard operand: " << operandStr(*op)
-                        << "\n";
+                        << " guard operand: " << operandStr(op)
+                        << perShape(x ? ax.guardXShapeConstant
+                                      : ax.guardYShapeConstant);
                     anyConst = true;
                 }
+            }
         }
     }
     if (!anyConst)
@@ -624,7 +688,9 @@ CompiledPlan::describe() const
             << polarityName(ax.polarity) << ", ";
         switch (ax.pass) {
           case CompiledAxiom::Pass::Stable:
-            out << "stable (decided once per rf epoch)";
+            out << (ax.shapeConstant
+                        ? "stable (decided once per shape)"
+                        : "stable (decided once per rf epoch)");
             break;
           case CompiledAxiom::Pass::FusedAcyclic:
             out << "fused-acyclic (incrementally closed reachability: "
@@ -712,16 +778,22 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
     {
         const ExecView &view = builder.view(cand);
         n = view.n;
+        // Shape constants computed under this generation still hold.
+        const uint64_t shape = builder.shapeGeneration();
+        const bool sameShape = slotsShape == shape;
 
         // Relation slots: live definitions in stratified order, then
         // the folded constants (all of them epoch-level values; the
         // co/fr-dependent strata get re-derived per view on the
         // fallback paths).
         evalStrata(view, /*withFolds=*/false,
-                   /*coDependentOnly=*/false);
+                   /*coDependentOnly=*/false,
+                   /*keepShapeConstants=*/sameShape);
         for (size_t k = 0; k < plan->foldExprs.size(); ++k)
-            slots[size_t(plan->model->slotCount) + k] = evalCatExpr(
-                *plan->foldExprs[k], view, slots, nullptr);
+            if (!sameShape || !plan->foldShapeConstant[k])
+                slots[size_t(plan->model->slotCount) + k] = evalCatExpr(
+                    *plan->foldExprs[k], view, slots, nullptr);
+        slotsShape = shape;
 
         // Candidate-to-view event translation and per-address tables.
         viewOfCand.assign(cand.events.size(), -1);
@@ -760,28 +832,56 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
             AxiomState &st = axState[i];
             switch (ax.pass) {
               case Pass::Stable:
-                // Independent: one verdict for the whole epoch.
-                if (!testAxiom(ax, view))
+                // Independent: one verdict for the whole epoch (for
+                // the whole shape when rf is not in it either).
+                if (!ax.shapeConstant || st.shape != shape) {
+                    st.stableOk = testAxiom(ax, view);
+                    st.shape = shape;
+                }
+                if (!st.stableOk)
                     return false;
                 break;
               case Pass::FusedAcyclic: {
-                Rel c(n);
-                for (const Expr *part : ax.constParts)
-                    c = c | relOf(evalCatExpr(*part, view, slots,
-                                              &plan->folds));
-                st.reach = c.transitiveClosure();
-                if (!st.reach.irreflexive())
+                // The shape parts are closed once per shape; the
+                // rf-derived parts join that closure edge by edge.
+                if (st.shape != shape) {
+                    Rel c(n);
+                    for (size_t k = 0; k < ax.constParts.size(); ++k)
+                        if (ax.constPartShapeConstant[k])
+                            c = c | relOf(evalCatExpr(*ax.constParts[k],
+                                                      view, slots,
+                                                      &plan->folds));
+                    st.shapeReach = c.transitiveClosure();
+                    st.shape = shape;
+                }
+                if (!st.shapeReach.irreflexive())
                     return false;
+                st.reach = st.shapeReach;
                 st.snapshots.clear();
+                for (size_t k = 0; k < ax.constParts.size(); ++k) {
+                    if (ax.constPartShapeConstant[k])
+                        continue;
+                    const Value value = evalCatExpr(
+                        *ax.constParts[k], view, slots, &plan->folds);
+                    const Rel &part = relOf(value);
+                    for (size_t u = 0; u < n; ++u)
+                        for (size_t v = 0; v < n; ++v)
+                            if (part.test(u, v)
+                                && !addEdge(st.reach, u, v))
+                                return false;
+                }
                 break;
               }
               case Pass::EdgeGuard:
-                if (ax.guardX.kind == OpKind::Const)
+                if (ax.guardX.kind == OpKind::Const
+                    && (!ax.guardXShapeConstant || st.shape != shape))
                     st.constX = relOf(evalCatExpr(
                         *ax.guardX.expr, view, slots, &plan->folds));
-                if (ax.guardY.kind == OpKind::Const)
+                if (ax.guardY.kind == OpKind::Const
+                    && (!ax.guardYShapeConstant || st.shape != shape))
                     st.constY = relOf(evalCatExpr(
                         *ax.guardY.expr, view, slots, &plan->folds));
+                st.shape = shape;
                 break;
               default:
                 break;
@@ -867,6 +967,10 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
   private:
     struct AxiomState
     {
+        /** Builder shape generation the shape constants belong to. */
+        uint64_t shape = 0;
+        bool stableOk = false;      ///< Stable: the verdict
+        Rel shapeReach;             ///< FusedAcyclic: closed shape parts
         Rel reach;                  ///< FusedAcyclic: closed union
         std::vector<Rel> snapshots; ///< one per open push frame
         Rel constX, constY;         ///< EdgeGuard constant operands
@@ -1050,12 +1154,14 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
 
     void
     evalStrata(const ExecView &view, bool withFolds,
-               bool coDependentOnly)
+               bool coDependentOnly, bool keepShapeConstants = false)
     {
         const FoldMap *f = withFolds ? &plan->folds : nullptr;
         for (const Stratum &s : plan->strata) {
             if (coDependentOnly
                 && s.polarity == Polarity::Independent)
+                continue;
+            if (keepShapeConstants && s.shapeConstant)
                 continue;
             if (!s.fixpoint) {
                 for (const Binding *b : s.bindings)
@@ -1090,6 +1196,8 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
     std::shared_ptr<const CompiledPlan> plan;
     ExecBuilder builder;
     std::vector<Value> slots;
+    /** Shape generation of the shape-constant slots (0: none yet). */
+    uint64_t slotsShape = 0;
     size_t n = 0;
 
     std::vector<AxiomState> axState;

@@ -39,6 +39,14 @@
  *                     the view (sound pruning), exact at leaves.
  *       Residual      NonMonotone: decided at complete leaves only.
  *
+ *  5. *Shape constants.*  A value that mentions none of rf, co and fr
+ *     -- directly or through a definition -- is a function of the
+ *     candidate's shape (events, po, loc, dependencies, fences), which
+ *     most rf epochs of a test share (cat::ExecBuilder keeps the shape
+ *     across them).  The filter keeps such strata, folds, axiom
+ *     verdicts and the shape part of each fused closure until the
+ *     shape changes, and per epoch only adds the rf-derived parts.
+ *
  * makeCompiledFilter() emits the plan as an
  * axiomatic::IncrementalFilter with fixed relation slots.  When every
  * axiom fuses (all shipped models do), the filter never rebuilds an
@@ -79,6 +87,8 @@ struct Stratum
     bool fixpoint = false;
     /** SCC-refined co/fr dependence (max over members). */
     Polarity polarity = Polarity::Independent;
+    /** No member mentions rf, co or fr, even through other slots. */
+    bool shapeConstant = false;
 };
 
 /** One axiom lowered to its incremental evaluation strategy. */
@@ -104,9 +114,14 @@ struct CompiledAxiom
     Pass pass = Pass::Residual;
     /** Refined co/fr dependence of the checked expression. */
     Polarity polarity = Polarity::NonMonotone;
+    /** Stable: the checked expression is a shape constant. */
+    bool shapeConstant = false;
 
-    // FusedAcyclic: the union, partitioned.
+    // FusedAcyclic: the union, partitioned.  constParts splits into
+    // the shape constants (closed once per shape) and the rf-derived
+    // rest (edges added to that closure per epoch).
     std::vector<const Expr *> constParts;
+    std::vector<bool> constPartShapeConstant;
     bool usesCo = false;
     bool usesFr = false;
 
@@ -114,6 +129,8 @@ struct CompiledAxiom
     // (or Y(x, y) when the guard came from a plain intersection).
     Operand guardX, guardY;
     bool guardYTransposed = false;
+    /** Const operands only: is the operand a shape constant? */
+    bool guardXShapeConstant = false, guardYShapeConstant = false;
 };
 
 /** The immutable result of compiling one model. */
@@ -127,6 +144,8 @@ struct CompiledPlan
     std::vector<Polarity> slotPolarity;
     /** Is the binding slot (transitively) reachable from an axiom? */
     std::vector<bool> slotLive;
+    /** Does the slot's value mention none of rf, co and fr? */
+    std::vector<bool> slotShapeConstant;
 
     /**
      * Folded constant subtrees: fold k lives in unified slot
@@ -135,6 +154,8 @@ struct CompiledPlan
      */
     std::vector<const Expr *> foldExprs;
     FoldMap folds;
+    /** Per fold: does it mention none of rf (co and fr never)? */
+    std::vector<bool> foldShapeConstant;
     /** model->slotCount + foldExprs.size(). */
     int totalSlots = 0;
 

@@ -16,7 +16,9 @@ const ExecView &
 ExecBuilder::view(const CandidateExecution &candidate)
 {
     if (!any || candidate.rfEpoch != epoch) {
-        rebuildTraceLevel(candidate);
+        if (!any || !sameShape(candidate))
+            rebuildShape(candidate);
+        rebuildRf(candidate);
         epoch = candidate.rfEpoch;
         any = true;
     }
@@ -24,9 +26,31 @@ ExecBuilder::view(const CandidateExecution &candidate)
     return v;
 }
 
-void
-ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
+bool
+ExecBuilder::sameShape(const CandidateExecution &cand) const
 {
+    size_t i = 0;
+    for (size_t tid = 0; tid < cand.traces.size(); ++tid) {
+        for (const model::TraceInstr &ti : *cand.traces[tid]) {
+            if (i == shape.size()
+                || !(shape[i] == ShapeEntry{tid, ti.instr,
+                                            ti.isMem() ? ti.addr : 0}))
+                return false;
+            ++i;
+        }
+    }
+    return i == shape.size();
+}
+
+void
+ExecBuilder::rebuildShape(const CandidateExecution &cand)
+{
+    ++shapeGen;
+    shape.clear();
+    for (size_t tid = 0; tid < cand.traces.size(); ++tid)
+        for (const model::TraceInstr &ti : *cand.traces[tid])
+            shape.push_back({tid, ti.instr, ti.isMem() ? ti.addr : 0});
+
     // ---- Event discovery: memory events (in candidate order) plus
     // fences, thread-major in trace order. ----
     struct EventInfo
@@ -38,7 +62,6 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
     };
     std::vector<EventInfo> events;
     eventOfCand.assign(cand.events.size(), -1);
-    eventOfStore.clear();
 
     size_t cand_idx = 0;
     for (size_t tid = 0; tid < cand.traces.size(); ++tid) {
@@ -75,7 +98,6 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
     v.FSL = EventSet(n);
     v.FSS = EventSet(n);
     v.po = Rel(n);
-    v.rf = Rel(n);
     v.loc = Rel(n);
     v.ext = Rel(n);
     v.int_ = Rel(n);
@@ -124,21 +146,6 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
                 v.loc.set(i, j);
             }
         }
-    }
-
-    // ---- rf (reads of the initial memory carry no edge). ----
-    for (size_t c = 0; c < cand.events.size(); ++c) {
-        const auto &ev = cand.events[c];
-        if (ev.isStore)
-            eventOfStore[ev.sid] = eventOfCand[c];
-    }
-    for (size_t c = 0; c < cand.events.size(); ++c) {
-        const auto &ev = cand.events[c];
-        if (!ev.isLoad || ev.rf == model::InitStore)
-            continue;
-        auto src = eventOfStore.find(ev.rf);
-        GAM_ASSERT(src != eventOfStore.end(), "rf store missing");
-        v.rf.set(size_t(src->second), size_t(eventOfCand[c]));
     }
 
     // ---- addr / data / ctrl by per-thread register dataflow. ----
@@ -193,6 +200,27 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
             }
             // Fences, NOP, HALT, JMP: read no registers.
         }
+    }
+}
+
+void
+ExecBuilder::rebuildRf(const CandidateExecution &cand)
+{
+    // Reads of the initial memory carry no edge.
+    v.rf.reset(v.n);
+    eventOfStore.clear();
+    for (size_t c = 0; c < cand.events.size(); ++c) {
+        const auto &ev = cand.events[c];
+        if (ev.isStore)
+            eventOfStore[ev.sid] = eventOfCand[c];
+    }
+    for (size_t c = 0; c < cand.events.size(); ++c) {
+        const auto &ev = cand.events[c];
+        if (!ev.isLoad || ev.rf == model::InitStore)
+            continue;
+        auto src = eventOfStore.find(ev.rf);
+        GAM_ASSERT(src != eventOfStore.end(), "rf store missing");
+        v.rf.set(size_t(src->second), size_t(eventOfCand[c]));
     }
 }
 

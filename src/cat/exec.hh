@@ -30,7 +30,12 @@
  *
  * The trace-derived parts (everything but co and fr) are reused across
  * the coherence permutations of one read-from candidate, keyed on
- * CandidateExecution::rfEpoch.
+ * CandidateExecution::rfEpoch.  Below that, the *shape* of a candidate
+ * -- its events, sets, po, loc, ext/int and addr/data/ctrl, i.e.
+ * everything but rf, co and fr -- is a function of the traces'
+ * instructions and addresses alone, so it is rebuilt only when those
+ * change: most rf epochs of a test share one shape, and only rf is
+ * rebuilt for them.
  */
 
 #ifndef GAM_CAT_EXEC_HH
@@ -81,6 +86,13 @@ class ExecBuilder
             ? eventOfCand[candIdx] : -1;
     }
 
+    /**
+     * Bumped whenever the view's shape (everything but rf, co and fr)
+     * is rebuilt: two views with the same generation have equal
+     * shapes, so values derived from the shape alone carry over.
+     */
+    uint64_t shapeGeneration() const { return shapeGen; }
+
     /** View event index of the store @p sid, or -1 if unknown. */
     int viewEventOfStore(model::StoreId sid) const
     {
@@ -89,12 +101,26 @@ class ExecBuilder
     }
 
   private:
-    void rebuildTraceLevel(const axiomatic::CandidateExecution &cand);
+    /** One trace entry as far as the shape reads it. */
+    struct ShapeEntry
+    {
+        size_t tid;
+        isa::Instruction instr;
+        isa::Addr addr; ///< memory accesses only, else 0
+        bool operator==(const ShapeEntry &) const = default;
+    };
+
+    bool sameShape(const axiomatic::CandidateExecution &cand) const;
+    void rebuildShape(const axiomatic::CandidateExecution &cand);
+    void rebuildRf(const axiomatic::CandidateExecution &cand);
     void rebuildCoherence(const axiomatic::CandidateExecution &cand);
 
     ExecView v;
     uint64_t epoch = ~uint64_t(0);
     bool any = false;
+    /** The traces the current shape was built from. */
+    std::vector<ShapeEntry> shape;
+    uint64_t shapeGen = 0;
     /** Candidate (memory) event index -> our event index. */
     std::vector<int> eventOfCand;
     /** Store id -> our event index (rf/fr source lookup). */

@@ -658,46 +658,57 @@ TEST(CampaignDriver, LegacyPipelineMatchesTheBatchedOne)
 
     CampaignOptions opt = smallCampaign();
     opt.verifySample = 5;
+    // PerLocSC has no cat file: one skipped pair the loop must skip too.
+    opt.models.push_back(ModelKind::PerLocSC);
+    opt.engines.push_back(Engine::Cat);
 
     DecisionStore batched_store(batched_file.str());
     const auto batched = runCampaign(opt, &batched_store);
     EXPECT_GT(batched.verified, 0u);
     EXPECT_EQ(batched.verifyMismatches, 0u);
 
-    // The campaign's units: enumeration order, deduped by fingerprint.
-    std::vector<litmus::LitmusTest> units;
-    std::set<uint64_t> seen;
-    enumerateCycles(opt.enumerate, [&](const CanonicalCycle &cycle) {
-        auto test = litmus::testFromCycle(cycle.name, cycle.edges,
-                                          cycle.numLocations);
-        if (seen.insert(litmus::fingerprint(*test)).second)
-            units.push_back(std::move(*test));
-        return true;
-    });
-    ASSERT_EQ(units.size(), batched.units);
+    // The campaign's own work list, decided one query at a time.
+    const CampaignUnits units = prepareUnits(opt);
+    ASSERT_EQ(units.cycles.size(), batched.units);
+    EXPECT_EQ(units.skippedPairs, 1u);
+    EXPECT_EQ(batched.skippedPairs, units.skippedPairs);
 
     DecisionStore legacy_store(legacy_file.str());
     harness::DecisionCache cache(opt.cacheEntries);
-    uint64_t decisions = 0, allowed = 0;
-    for (const litmus::LitmusTest &test : units) {
-        for (ModelKind m : opt.models) {
-            for (Engine e : opt.engines) {
-                harness::Query q;
-                q.test = &test;
-                q.model = m;
-                q.engine = harness::engineSelectOf(e);
-                q.options = opt.run;
-                q.options.threads = 1;
-                const harness::Decision d =
-                    harness::decide(q, &cache, &legacy_store);
-                ++decisions;
-                allowed += d.allowed ? 1 : 0;
-            }
+    uint64_t decisions = 0, allowed = 0, store_writes = 0;
+    std::vector<PairTally> tallies(units.pairs.size());
+    for (const CanonicalCycle &cycle : units.cycles) {
+        const auto test = litmus::testFromCycle(
+            cycle.name, cycle.edges, cycle.numLocations);
+        ASSERT_TRUE(test.has_value());
+        for (size_t p = 0; p < units.pairs.size(); ++p) {
+            harness::Query q;
+            q.test = &*test;
+            q.model = units.pairs[p].first;
+            q.engine = harness::engineSelectOf(units.pairs[p].second);
+            q.options = opt.run;
+            q.options.threads = 1;
+            const harness::Decision d =
+                harness::decide(q, &cache, &legacy_store);
+            ++decisions;
+            allowed += d.allowed ? 1 : 0;
+            store_writes +=
+                !d.cacheHit && !d.storeHit && d.complete ? 1 : 0;
+            ++tallies[p].decided;
+            tallies[p].allowed += d.allowed ? 1 : 0;
         }
     }
     legacy_store.flush();
     EXPECT_EQ(batched.decisions, decisions);
     EXPECT_EQ(batched.allowed, allowed);
+    EXPECT_EQ(batched.storeWrites, store_writes);
+    ASSERT_EQ(batched.tallies.size(), tallies.size());
+    for (size_t p = 0; p < tallies.size(); ++p) {
+        EXPECT_EQ(batched.tallies[p].model, units.pairs[p].first);
+        EXPECT_EQ(batched.tallies[p].engine, units.pairs[p].second);
+        EXPECT_EQ(batched.tallies[p].decided, tallies[p].decided);
+        EXPECT_EQ(batched.tallies[p].allowed, tallies[p].allowed);
+    }
 
     // Record-for-record identical persistence: same keys, same
     // verdicts, same outcome witnesses.

@@ -27,6 +27,7 @@
 #include "axiomatic/checker.hh"
 #include "cat/compile.hh"
 #include "cat/engine.hh"
+#include "cat/exec.hh"
 #include "cat/parser.hh"
 #include "litmus/generator.hh"
 #include "litmus/suite.hh"
@@ -114,6 +115,11 @@ TEST(CatCompile, DescribeRendersThePlan)
     EXPECT_NE(text.find("fused-acyclic"), std::string::npos) << text;
     EXPECT_NE(text.find("edge-guard"), std::string::npos) << text;
     EXPECT_NE(text.find("rf \\ po"), std::string::npos) << text;
+    // ppo is rf-free, so it is closed once per shape; rf \ po is not.
+    EXPECT_NE(text.find("const part: ppo  (per shape)"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("const part: rf \\ po\n"), std::string::npos)
+        << text;
     EXPECT_NE(text.find("fully incremental"), std::string::npos)
         << text;
 }
@@ -155,6 +161,86 @@ TEST(CatCompile, OutcomesMatchInterpreterAndCheckerOnAllBuiltins)
                           + interp_stats.subtreesSkipped);
         }
     }
+}
+
+/** What ShapeProbe saw over one search. */
+struct ShapeCounts
+{
+    uint64_t epochs = 0;
+    uint64_t views = 0;
+    uint64_t mismatches = 0;
+    uint64_t shapes = 0; ///< shape rebuilds of the long-lived builder
+};
+
+/**
+ * Screens nothing; checks every view the long-lived builder hands out
+ * (shape kept across rf epochs) against a fresh builder's.
+ */
+class ShapeProbe final : public axiomatic::IncrementalFilter
+{
+  public:
+    explicit ShapeProbe(ShapeCounts &counts) : counts(counts) {}
+
+    bool
+    beginRf(const axiomatic::CandidateExecution &cand) override
+    {
+        ++counts.epochs;
+        compare(cand);
+        return true;
+    }
+
+    bool
+    accept(const axiomatic::CandidateExecution &cand) override
+    {
+        compare(cand);
+        return true;
+    }
+
+  private:
+    void
+    compare(const axiomatic::CandidateExecution &cand)
+    {
+        ++counts.views;
+        const cat::ExecView &a = kept.view(cand);
+        counts.shapes = kept.shapeGeneration();
+        cat::ExecBuilder fresh_builder;
+        const cat::ExecView &b = fresh_builder.view(cand);
+        const bool same = a.n == b.n && a.R == b.R && a.W == b.W
+            && a.M == b.M && a.F == b.F && a.RMW == b.RMW
+            && a.FLL == b.FLL && a.FLS == b.FLS && a.FSL == b.FSL
+            && a.FSS == b.FSS && a.po == b.po && a.rf == b.rf
+            && a.co == b.co && a.fr == b.fr && a.loc == b.loc
+            && a.ext == b.ext && a.int_ == b.int_ && a.addr == b.addr
+            && a.data == b.data && a.ctrl == b.ctrl && a.id == b.id;
+        counts.mismatches += same ? 0 : 1;
+    }
+
+    ShapeCounts &counts;
+    cat::ExecBuilder kept;
+};
+
+TEST(CatCompile, ShapeKeptAcrossRfEpochsEqualsAFreshBuild)
+{
+    // Most rf epochs of a test share one shape (events, po, loc,
+    // dependencies); addr_st_cycle loads an address, so its loc
+    // changes with rf and the builder must notice.
+    uint64_t epochs = 0, shapes = 0;
+    for (const litmus::LitmusTest &test : litmus::allTests()) {
+        SCOPED_TRACE(test.name);
+        ShapeCounts counts;
+        axiomatic::Checker checker(test, ModelKind::GAM);
+        checker.enumerateIncremental(
+            [&counts] { return std::make_unique<ShapeProbe>(counts); });
+        EXPECT_EQ(counts.mismatches, 0u);
+        EXPECT_GT(counts.views, counts.epochs);
+        EXPECT_LE(counts.shapes, counts.epochs);
+        if (test.name == "addr_st_cycle") {
+            EXPECT_GT(counts.shapes, 1u);
+        }
+        epochs += counts.epochs;
+        shapes += counts.shapes;
+    }
+    EXPECT_LT(shapes * 2, epochs);
 }
 
 TEST(CatCompile, ParallelSearchMatchesSerial)
