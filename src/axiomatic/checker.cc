@@ -105,26 +105,38 @@ struct LaneBoard
         lastLane = lane;
     }
 
-    /** Rebuild the per-epoch tables if @p cand starts a new epoch. */
+    /**
+     * Rebuild the per-epoch tables if @p cand starts a new epoch; the
+     * per-shape ones only when its shape epoch moved too.
+     */
     void
     refresh(const CandidateExecution &cand, bool withShapes)
     {
         if (valid && epoch == cand.rfEpoch)
             return;
+        const bool newShape = !valid || shape != cand.shapeEpoch
+            || (withShapes && !hashed);
         valid = true;
         epoch = cand.rfEpoch;
+        shape = cand.shapeEpoch;
         const size_t n = cand.events.size();
         const size_t nthreads = cand.traces.size();
-        firstNode.assign(nthreads, 0);
+        if (newShape) {
+            firstNode.assign(nthreads, 0);
+            for (size_t v = n; v-- > 0;)
+                firstNode[size_t(cand.events[v].tid)] = uint32_t(v);
+        }
+        // A load's source is a store of its own address.
         srcNode.assign(n, -1);
-        for (size_t v = n; v-- > 0;) {
+        for (size_t v = 0; v < n; ++v) {
             const CandidateEvent &ev = cand.events[v];
-            firstNode[size_t(ev.tid)] = uint32_t(v);
             if (!ev.isLoad || ev.rf == InitStore)
                 continue;
-            for (size_t s = 0; s < n; ++s) {
-                if (cand.events[s].isStore && cand.events[s].sid == ev.rf) {
-                    srcNode[v] = int(s);
+            const int ai = cand.coOrder.indexOf(ev.addr);
+            GAM_ASSERT(ai >= 0, "rf store missing");
+            for (int s : cand.coOrder.stores(size_t(ai))) {
+                if (cand.events[size_t(s)].sid == ev.rf) {
+                    srcNode[v] = s;
                     break;
                 }
             }
@@ -132,23 +144,26 @@ struct LaneBoard
         }
         if (!withShapes)
             return;
-        shapeKey.assign(nthreads, 0);
-        rfKey.assign(nthreads, 0);
-        for (size_t tid = 0; tid < nthreads; ++tid) {
-            StateHasher shape;
-            for (const model::TraceInstr &ti : *cand.traces[tid]) {
-                const isa::Instruction &in = ti.instr;
-                shape.add(uint64_t(in.op) | uint64_t(in.fence) << 8
+        if (newShape) {
+            hashed = true;
+            shapeKey.assign(nthreads, 0);
+            for (size_t tid = 0; tid < nthreads; ++tid) {
+                StateHasher h;
+                for (const model::TraceInstr &ti : *cand.traces[tid]) {
+                    const isa::Instruction &in = ti.instr;
+                    h.add(uint64_t(in.op) | uint64_t(in.fence) << 8
                           | uint64_t(uint16_t(in.dst)) << 16
                           | uint64_t(uint16_t(in.src1)) << 32
                           | uint64_t(uint16_t(in.src2)) << 48);
-                shape.add(uint64_t(in.imm));
-                shape.add(ti.isMem() ? uint64_t(ti.addr) + 1 : 0);
+                    h.add(uint64_t(in.imm));
+                    h.add(ti.isMem() ? uint64_t(ti.addr) + 1 : 0);
+                }
+                shapeKey[tid] = h.digest();
             }
-            shapeKey[tid] = shape.digest();
         }
         // The rf half of ARM's key: each thread's loads' sources, in
         // trace order (events list them that way).
+        rfKey.assign(nthreads, 0);
         for (const CandidateEvent &ev : cand.events) {
             if (ev.isLoad) {
                 uint64_t &key = rfKey[size_t(ev.tid)];
@@ -160,12 +175,18 @@ struct LaneBoard
     // ---- per rf epoch, model-independent
     bool valid = false;
     uint64_t epoch = 0;
+    /** The shape epoch firstNode and shapeKey were built for. */
+    uint64_t shape = 0;
+    /** shapeKey holds this shape's hashes. */
+    bool hashed = false;
     /** Per event: the node its load side reads from, -1 = initial. */
     std::vector<int> srcNode;
+    // ---- per shape epoch
     /** Per thread: the event index of its first memory access. */
     std::vector<uint32_t> firstNode;
     /** Per thread: hash of the executed instructions and addresses. */
     std::vector<uint64_t> shapeKey;
+    // ---- per rf epoch again
     /** Per thread: hash of its loads' rf sources. */
     std::vector<uint64_t> rfKey;
 
@@ -305,7 +326,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
         if (sharedReject())
             return false;
 
-        const auto &p = cand.coOrder.at(addr);
+        const std::span<const int> p = cand.coOrder.of(addr);
         const size_t v = size_t(eventIdx);
 
         // Coherence edge from the previous store in this address's
@@ -621,7 +642,7 @@ void
 Checker::checkCandidate(
     const std::vector<CandidateBuilder::ThreadExec> &exec,
     litmus::OutcomeSet &outcomes, const CandidateFilter *accept,
-    uint64_t rfEpoch)
+    uint64_t rfEpoch, uint64_t shapeEpoch)
 {
     // ---- Collect memory events and per-thread ppo. ----
     std::vector<CandidateEvent> events;
@@ -654,12 +675,6 @@ Checker::checkCandidate(
         }
     }
 
-    // Group stores by address for coherence-order enumeration.
-    std::map<Addr, std::vector<int>> storesByAddr;
-    for (size_t v = 0; v < n; ++v)
-        if (events[v].isStore)
-            storesByAddr[events[v].addr].push_back(int(v));
-
     // Map store id -> node.
     std::map<StoreId, int> nodeOfStore;
     for (size_t v = 0; v < n; ++v)
@@ -671,12 +686,10 @@ Checker::checkCandidate(
             && events[s].traceIdx < events[l].traceIdx;
     };
 
-    // ---- Enumerate coherence orders (one permutation per address). ----
-    std::vector<Addr> addrs;
-    for (auto &[a, v] : storesByAddr)
-        addrs.push_back(a);
-
-    std::map<Addr, std::vector<int>> perm = storesByAddr;
+    // ---- Enumerate coherence orders (one permutation per address),
+    // grouping stores by address. ----
+    CoOrder perm;
+    perm.assign(events);
 
     // ---- Accepted-candidate outcome recording (both paths). ----
     auto record = [&]() {
@@ -689,7 +702,7 @@ Checker::checkCandidate(
 
         if (accept) {
             const CandidateExecution candidate{events, perm, traces,
-                                               rfEpoch};
+                                               rfEpoch, shapeEpoch};
             if ((*accept)(candidate))
                 record();
             return;
@@ -701,8 +714,8 @@ Checker::checkCandidate(
         for (auto [u, v] : ppoEdges)
             edge(u, v);
         // Coherence edges (consecutive).
-        for (const auto &a : addrs) {
-            const auto &p = perm[a];
+        for (size_t ai = 0; ai < perm.size(); ++ai) {
+            const std::span<const int> p = perm.order(ai);
             for (size_t i = 0; i + 1 < p.size(); ++i)
                 edge(p[i], p[i + 1]);
         }
@@ -713,7 +726,7 @@ Checker::checkCandidate(
             const CandidateEvent &ev = events[v];
             if (!(ev.isLoad && ev.isStore))
                 continue;
-            const auto &p = perm[ev.addr];
+            const std::span<const int> p = perm.of(ev.addr);
             size_t pos = 0;
             while (pos < p.size() && p[pos] != int(v))
                 ++pos;
@@ -736,7 +749,7 @@ Checker::checkCandidate(
             const CandidateEvent &ld = events[v];
             if (!ld.isLoad)
                 continue;
-            const auto &p = perm[ld.addr];
+            const std::span<const int> p = perm.of(ld.addr);
             if (ld.rf == InitStore) {
                 // No store may be mo-before or po-before this load.
                 for (int s : p) {
@@ -799,11 +812,11 @@ Checker::checkCandidate(
 
     // Recursive product of per-address permutations.
     std::function<void(size_t)> rec = [&](size_t ai) {
-        if (ai == addrs.size()) {
+        if (ai == perm.size()) {
             try_combo();
             return;
         }
-        auto &p = perm[addrs[ai]];
+        const std::span<int> p = perm.placeAll(ai);
         std::sort(p.begin(), p.end());
         do {
             rec(ai + 1);
@@ -828,16 +841,16 @@ Checker::enumerateLegacyImpl(const CandidateFilter *accept)
                    builder.storeSites().end());
 
     std::vector<size_t> odo(nloads, 0);
+    CandidateBuilder::Scratch scratch;
     for (;;) {
         for (size_t i = 0; i < nloads; ++i)
             rf[i] = choices[odo[i]];
 
         ++_stats.rfCandidates;
-        std::vector<CandidateBuilder::ThreadExec> exec;
-        if (builder.computeExecution(rf, exec)) {
+        if (builder.computeExecution(rf, scratch)) {
             ++_stats.valueConsistent;
-            checkCandidate(exec, outcomes, accept,
-                           _stats.valueConsistent);
+            checkCandidate(scratch.exec, outcomes, accept,
+                           _stats.valueConsistent, scratch.shapeEpoch);
         } else {
             ++_stats.valueCycles;
         }

@@ -146,7 +146,8 @@ class Checker
      */
     void checkCandidate(const std::vector<CandidateBuilder::ThreadExec> &exec,
                         litmus::OutcomeSet &outcomes,
-                        const CandidateFilter *accept, uint64_t rfEpoch);
+                        const CandidateFilter *accept, uint64_t rfEpoch,
+                        uint64_t shapeEpoch);
 
     const litmus::LitmusTest &test;
     model::ModelKind model;

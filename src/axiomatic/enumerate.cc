@@ -1,6 +1,7 @@
 #include "axiomatic/enumerate.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <set>
@@ -36,6 +37,7 @@ CheckerStats::merge(const CheckerStats &other)
     coCandidates += other.coCandidates;
     accepted += other.accepted;
     valueCycles += other.valueCycles;
+    shapeChanges += other.shapeChanges;
     rfStaticSkipped += other.rfStaticSkipped;
     rfPruned += other.rfPruned;
     partialsPruned += other.partialsPruned;
@@ -61,14 +63,23 @@ withConditionSeeds(const litmus::LitmusTest &test, Options options)
 namespace
 {
 
-/** Per static site: resolved address / data where known. */
-struct SiteVals
+/** Scratch::Site::known bits. */
+constexpr uint8_t Executed = 1, KnownAddr = 2, KnownData = 4,
+                  KnownData2 = 8;
+
+/** Source of CandidateBuilder ids (0 is "no builder yet"). */
+std::atomic<uint64_t> nextBuilderId{1};
+
+/**
+ * `xor r, x, x` and `sub r, x, x`: 0 whatever x holds, so no value
+ * flows through them (the dependency idiom of generated tests).
+ */
+bool
+zeroingIdiom(const Instruction &in)
 {
-    bool executed = false;
-    std::optional<Value> addr;  // memory instructions
-    std::optional<Value> data;  // store data or load(ed) value
-    std::optional<Value> data2; // RMWs: the value written to memory
-};
+    return in.src1 == in.src2
+        && (in.op == isa::Opcode::XOR || in.op == isa::Opcode::SUB);
+}
 
 /** a * b, saturating at UINT64_MAX (subtree-size accounting). */
 uint64_t
@@ -102,12 +113,18 @@ satFactorial(uint64_t n)
 
 CandidateBuilder::CandidateBuilder(const litmus::LitmusTest &test,
                                    Options options)
-    : _test(test), _options(std::move(options))
+    : _test(test), _options(std::move(options)),
+      _id(nextBuilderId.fetch_add(1, std::memory_order_relaxed))
 {
+    _siteBase.push_back(0);
     for (size_t tid = 0; tid < test.threads.size(); ++tid) {
         const auto &prog = test.threads[tid];
         GAM_ASSERT(prog.size() < 1024, "thread too long for StoreId");
+        _siteBase.push_back(_siteBase.back() + prog.size());
+        _maxThreadLen = std::max(_maxThreadLen, prog.size());
         for (size_t idx = 0; idx < prog.size(); ++idx) {
+            _loadOrdinal.push_back(
+                prog[idx].isLoad() ? int(_loadSites.size()) : -1);
             const Instruction &instr = prog[idx];
             // Untrusted tests (parsed or generated) are screened by
             // LitmusTest::check() before reaching any engine; this
@@ -167,9 +184,7 @@ CandidateBuilder::computeStaticFeasibility()
             const Instruction &in = prog[idx];
             if (in.isRegToReg()) {
                 auto a = get(in.src1), b = get(in.src2);
-                if (in.src1 == in.src2
-                    && (in.op == isa::Opcode::XOR
-                        || in.op == isa::Opcode::SUB)) {
+                if (zeroingIdiom(in)) {
                     set(in.dst, Value{0}); // the zeroing idiom above
                 } else {
                     set(in.dst, a && b
@@ -231,210 +246,198 @@ CandidateBuilder::computeStaticFeasibility()
     _rfStaticSkipped = full - feasible;
 }
 
-bool
-CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
-                                   std::vector<ThreadExec> &out) const
+std::optional<Value>
+CandidateBuilder::suppliedValue(StoreId src,
+                                const std::vector<Site> &sites) const
 {
+    // An RMW supplies what it wrote, not what it loaded.
+    auto [stid, sidx] = storeIdParts(src);
+    const Site &s = sites[site(stid, sidx)];
+    if (_test.threads[size_t(stid)][size_t(sidx)].isRmw())
+        return s.known & KnownData2 ? std::optional(s.data2)
+                                    : std::nullopt;
+    return s.known & KnownData ? std::optional(s.data) : std::nullopt;
+}
+
+void
+CandidateBuilder::runFixpoint(const std::vector<StoreId> &rf,
+                              Scratch &scratch, Value seed) const
+{
+    std::vector<Site> &sites = scratch.sites;
+    std::vector<Site> &next = scratch.next;
     const size_t nthreads = _test.threads.size();
-    const std::vector<Value> &seeds = _options.seedValues;
 
-    // rf lookup: (tid, idx) -> ordinal in loadSites.
-    auto load_ordinal = [&](int tid, int idx) -> int {
-        for (size_t i = 0; i < _loadSites.size(); ++i)
-            if (_loadSites[i].first == tid
-                && _loadSites[i].second == idx)
-                return static_cast<int>(i);
-        panic("load site (%d, %d) not found", tid, idx);
+    // A load's value: the seed when overridden, else its rf source's.
+    auto loaded = [&](size_t ordinal, const Site &sv, Value &v) {
+        if (scratch.seeded[ordinal]) {
+            v = seed;
+            return true;
+        }
+        const StoreId src = rf[ordinal];
+        if (src == InitStore) {
+            if (!(sv.known & KnownAddr))
+                return false;
+            v = initialMemValue(_test.initialMem, sv.addr);
+            return true;
+        }
+        const auto supplied = suppliedValue(src, sites);
+        if (supplied)
+            v = *supplied;
+        return supplied.has_value();
     };
 
-    // Site tables, keyed by (tid, static idx).
-    std::vector<std::vector<SiteVals>> sites(nthreads);
-    for (size_t tid = 0; tid < nthreads; ++tid)
-        sites[tid].resize(_test.threads[tid].size());
+    // Iterate thread executions until site values stabilise.  Each
+    // thread re-runs from its first instruction every round, reading
+    // other sites (its own included) as the previous pass left them.
+    const size_t total_instrs = _siteBase.back();
+    for (size_t round = 0; round <= total_instrs + 1; ++round) {
+        bool changed = false;
+        for (size_t tid = 0; tid < nthreads; ++tid) {
+            const auto &prog = _test.threads[tid];
+            const size_t base = _siteBase[tid];
+            std::array<Value, isa::NUM_REGS> regs{};
+            uint64_t regKnown = ~uint64_t(0);
+            std::fill_n(next.begin(), prog.size(), Site{});
 
-    // The value a store site supplies to readers: an RMW supplies what
-    // it wrote, not what it loaded.
-    auto supplied_value = [&](StoreId src) -> std::optional<Value> {
-        auto [stid, sidx] = storeIdParts(src);
-        const SiteVals &sv = sites[size_t(stid)][size_t(sidx)];
-        return _test.threads[size_t(stid)][size_t(sidx)].isRmw()
-            ? sv.data2 : sv.data;
-    };
+            auto known = [&](isa::Reg r) {
+                return (regKnown >> unsigned(r)) & 1;
+            };
+            auto set = [&](isa::Reg r, bool ok, Value v) {
+                if (r == isa::REG_ZERO)
+                    return;
+                const uint64_t bit = uint64_t(1) << unsigned(r);
+                regKnown = ok ? regKnown | bit : regKnown & ~bit;
+                regs[size_t(r)] = ok ? v : 0;
+            };
 
-    // Seed overrides for value-cycle recovery: load site -> value.
-    std::map<std::pair<int, int>, Value> seedOverride;
-
-    auto run_fixpoint = [&]() -> bool {
-        // Iterate thread executions until site values stabilise.
-        size_t total_instrs = 0;
-        for (const auto &prog : _test.threads)
-            total_instrs += prog.size();
-        for (size_t round = 0; round <= total_instrs + 1; ++round) {
-            bool changed = false;
-            for (size_t tid = 0; tid < nthreads; ++tid) {
-                const auto &prog = _test.threads[tid];
-                std::array<std::optional<Value>, isa::NUM_REGS> regs;
-                regs.fill(Value{0});
-                std::vector<SiteVals> next(prog.size());
-
-                auto get = [&](isa::Reg r) { return regs[size_t(r)]; };
-                auto set = [&](isa::Reg r, std::optional<Value> v) {
-                    if (r != isa::REG_ZERO)
-                        regs[size_t(r)] = v;
-                };
-
-                size_t idx = 0;
-                while (idx < prog.size()) {
-                    const Instruction &in = prog[idx];
-                    SiteVals &sv = next[idx];
-                    sv.executed = true;
-                    if (in.isRegToReg()) {
-                        auto a = get(in.src1), b = get(in.src2);
-                        if (a && b)
-                            set(in.dst, isa::evalRegToReg(in, *a, *b));
-                        else
-                            set(in.dst, std::nullopt);
-                    } else if (in.isRmw()) {
-                        auto base = get(in.src1);
-                        if (base)
-                            sv.addr = isa::effectiveAddr(in, *base);
-                        StoreId src =
-                            rf[load_ordinal(int(tid), int(idx))];
-                        std::optional<Value> old;
-                        auto seeded = seedOverride.find({int(tid),
-                                                         int(idx)});
-                        if (seeded != seedOverride.end()) {
-                            old = seeded->second;
-                        } else if (src == InitStore) {
-                            if (sv.addr)
-                                old = initialMemValue(_test.initialMem,
-                                                      *sv.addr);
-                        } else {
-                            old = supplied_value(src);
+            size_t idx = 0;
+            while (idx < prog.size()) {
+                const Instruction &in = prog[idx];
+                Site &sv = next[idx];
+                sv.known = Executed;
+                if (in.isRegToReg()) {
+                    const bool ok = known(in.src1) && known(in.src2);
+                    set(in.dst, ok,
+                        ok ? isa::evalRegToReg(in, regs[size_t(in.src1)],
+                                               regs[size_t(in.src2)])
+                           : 0);
+                } else if (in.isMem()) {
+                    if (known(in.src1)) {
+                        sv.addr = isa::effectiveAddr(in,
+                                                     regs[size_t(in.src1)]);
+                        sv.known |= KnownAddr;
+                    }
+                    if (in.isLoad()) {
+                        // Loads and RMWs: data is the loaded value.
+                        const size_t ordinal =
+                            size_t(_loadOrdinal[base + idx]);
+                        Value v = 0;
+                        const bool ok = loaded(ordinal, sv, v);
+                        if (ok) {
+                            sv.data = v;
+                            sv.known |= KnownData;
                         }
-                        sv.data = old; // the loaded value
-                        auto operand = get(in.src2);
-                        if (old && operand) {
-                            sv.data2 =
-                                isa::evalRmwStored(in, *old, *operand);
+                        if (in.isRmw() && ok && known(in.src2)) {
+                            sv.data2 = isa::evalRmwStored(
+                                in, v, regs[size_t(in.src2)]);
+                            sv.known |= KnownData2;
                         }
-                        set(in.dst, old);
-                    } else if (in.isLoad()) {
-                        auto base = get(in.src1);
-                        if (base)
-                            sv.addr = isa::effectiveAddr(in, *base);
-                        StoreId src =
-                            rf[load_ordinal(int(tid), int(idx))];
-                        std::optional<Value> v;
-                        auto seeded = seedOverride.find({int(tid),
-                                                         int(idx)});
-                        if (seeded != seedOverride.end()) {
-                            v = seeded->second;
-                        } else if (src == InitStore) {
-                            if (sv.addr)
-                                v = initialMemValue(_test.initialMem,
-                                                    *sv.addr);
-                        } else {
-                            v = supplied_value(src);
-                        }
-                        sv.data = v;
-                        set(in.dst, v);
-                    } else if (in.isStore()) {
-                        auto base = get(in.src1);
-                        if (base)
-                            sv.addr = isa::effectiveAddr(in, *base);
-                        sv.data = get(in.src2);
-                    } else if (in.isBranch()) {
-                        auto a = get(in.src1), b = get(in.src2);
-                        if (in.op != isa::Opcode::JMP && !(a && b)) {
-                            // Direction unknown: stop here this round.
-                            sv.executed = true;
-                            break;
-                        }
-                        Value va = a ? *a : 0, vb = b ? *b : 0;
-                        if (isa::evalBranchTaken(in, va, vb)) {
-                            idx = size_t(in.imm);
-                            continue;
-                        }
-                    } else if (in.op == isa::Opcode::HALT) {
+                        set(in.dst, ok, v);
+                    } else if (known(in.src2)) {
+                        sv.data = regs[size_t(in.src2)];
+                        sv.known |= KnownData;
+                    }
+                } else if (in.isBranch()) {
+                    // Direction unknown: stop here this round.
+                    const bool ok = known(in.src1) && known(in.src2);
+                    if (in.op != isa::Opcode::JMP && !ok)
                         break;
+                    if (isa::evalBranchTaken(in, regs[size_t(in.src1)],
+                                             regs[size_t(in.src2)])) {
+                        idx = size_t(in.imm);
+                        continue;
                     }
-                    ++idx;
-                }
-
-                for (size_t i = 0; i < prog.size(); ++i) {
-                    if (next[i].executed != sites[tid][i].executed
-                        || next[i].addr != sites[tid][i].addr
-                        || next[i].data != sites[tid][i].data
-                        || next[i].data2 != sites[tid][i].data2) {
-                        changed = true;
-                    }
-                }
-                sites[tid] = std::move(next);
-            }
-            if (!changed)
-                return true;
-        }
-        return true; // stabilised by instruction-count bound
-    };
-
-    run_fixpoint();
-
-    // Identify executed loads whose value is still undetermined.
-    auto undetermined_loads = [&]() {
-        std::vector<std::pair<int, int>> blocked;
-        for (auto [tid, idx] : _loadSites) {
-            const SiteVals &sv = sites[size_t(tid)][size_t(idx)];
-            if (sv.executed && !sv.data)
-                blocked.emplace_back(tid, idx);
-        }
-        return blocked;
-    };
-
-    if (!undetermined_loads().empty() && !seeds.empty()) {
-        // Try each seed value for the whole undetermined set; keep the
-        // first consistent assignment.
-        for (Value seed : seeds) {
-            seedOverride.clear();
-            for (auto [tid, idx] : undetermined_loads())
-                seedOverride[{tid, idx}] = seed;
-            run_fixpoint();
-            // Consistency: every seeded load's rf source must actually
-            // supply the seeded value.
-            bool ok = true;
-            for (auto [tid, idx] : _loadSites) {
-                const SiteVals &sv = sites[size_t(tid)][size_t(idx)];
-                if (!sv.executed)
-                    continue;
-                StoreId src = rf[load_ordinal(tid, idx)];
-                if (!sv.addr || !sv.data) {
-                    ok = false;
+                } else if (in.op == isa::Opcode::HALT) {
                     break;
                 }
-                std::optional<Value> expect;
-                if (src == InitStore) {
-                    expect = initialMemValue(_test.initialMem, *sv.addr);
-                } else {
-                    expect = supplied_value(src);
-                }
-                if (!expect || *expect != *sv.data) {
-                    ok = false;
-                    break;
-                }
+                ++idx;
             }
-            if (ok)
-                break;
-            seedOverride.clear();
+
+            if (!std::equal(next.begin(), next.begin() + prog.size(),
+                            sites.begin() + base)) {
+                changed = true;
+                std::copy_n(next.begin(), prog.size(),
+                            sites.begin() + base);
+            }
         }
+        if (!changed)
+            return;
     }
+    // Stabilised by the instruction-count bound.
+}
 
-    // Final validation and trace construction.
-    out.clear();
-    out.resize(nthreads);
-    for (size_t tid = 0; tid < nthreads; ++tid) {
+bool
+CandidateBuilder::loadsConsistent(const std::vector<StoreId> &rf,
+                                  const std::vector<Site> &sites) const
+{
+    for (size_t i = 0; i < _loadSites.size(); ++i) {
+        const Site &sv = sites[site(_loadSites[i].first,
+                                    _loadSites[i].second)];
+        if (!(sv.known & Executed))
+            continue;
+        if (!(sv.known & KnownAddr) || !(sv.known & KnownData))
+            return false;
+        const std::optional<Value> expect = rf[i] == InitStore
+            ? std::optional(initialMemValue(_test.initialMem, sv.addr))
+            : suppliedValue(rf[i], sites);
+        if (!expect || *expect != sv.data)
+            return false;
+    }
+    return true;
+}
+
+bool
+CandidateBuilder::commitTraces(const std::vector<StoreId> &rf,
+                               Scratch &scratch) const
+{
+    // Written in place over the previous call's traces: the shape
+    // epoch bumps at the first entry whose static index or address
+    // differs, and whenever a thread's length changes.
+    bool shapeChanged = false;
+    struct Bump
+    {
+        Scratch &scratch;
+        const bool &changed;
+        ~Bump()
+        {
+            if (changed)
+                ++scratch.shapeEpoch;
+        }
+    } bump{scratch, shapeChanged};
+
+    const std::vector<Site> &sites = scratch.sites;
+    for (size_t tid = 0; tid < _test.threads.size(); ++tid) {
         const auto &prog = _test.threads[tid];
-        ThreadExec &te = out[tid];
+        ThreadExec &te = scratch.exec[tid];
+        te.complete = false;
         te.regs.fill(Value{0});
+        size_t k = 0; // trace entries written
+        auto append = [&](int idx, const model::TraceInstr &ti,
+                          StoreId rf_src) {
+            if (k < te.trace.size()) {
+                if (te.executedIdx[k] != idx || te.trace[k].addr != ti.addr)
+                    shapeChanged = true;
+                te.executedIdx[k] = idx;
+                te.trace[k] = ti;
+                te.rfTrace[k] = rf_src;
+            } else {
+                shapeChanged = true;
+                te.executedIdx.push_back(idx);
+                te.trace.push_back(ti);
+                te.rfTrace.push_back(rf_src);
+            }
+            ++k;
+        };
 
         size_t idx = 0;
         bool complete = false;
@@ -444,8 +447,8 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
                 break;
             }
             const Instruction &in = prog[idx];
-            const SiteVals &sv = sites[tid][idx];
-            if (!sv.executed)
+            const Site &sv = sites[site(int(tid), int(idx))];
+            if (!(sv.known & Executed))
                 break;
 
             model::TraceInstr ti;
@@ -462,20 +465,21 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
                     te.regs[size_t(in.dst)] =
                         isa::evalRegToReg(in, *a, *b);
             } else if (in.isMem()) {
-                if (!sv.addr || !sv.data)
+                if (!(sv.known & KnownAddr) || !(sv.known & KnownData))
                     return false; // undetermined value cycle remains
-                if (in.isRmw() && !sv.data2)
+                if (in.isRmw() && !(sv.known & KnownData2))
                     return false;
-                if (*sv.addr & 7)
+                if (sv.addr & 7)
                     return false; // bogus rf guess computed a bad address
-                ti.addr = *sv.addr;
-                ti.value = *sv.data;
+                ti.addr = sv.addr;
+                ti.value = sv.data;
                 if (in.isRmw())
-                    ti.rmwStored = *sv.data2;
+                    ti.rmwStored = sv.data2;
                 if (in.isLoad()) {
-                    rf_src = rf[load_ordinal(int(tid), int(idx))];
+                    rf_src = rf[size_t(_loadOrdinal[site(int(tid),
+                                                         int(idx))])];
                     if (in.dst != isa::REG_ZERO)
-                        te.regs[size_t(in.dst)] = *sv.data;
+                        te.regs[size_t(in.dst)] = sv.data;
                 }
             } else if (in.isBranch()) {
                 auto a = te.regs[size_t(in.src1)];
@@ -485,29 +489,86 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
                 if (isa::evalBranchTaken(in, a ? *a : 0, b ? *b : 0))
                     next_idx = size_t(in.imm);
             } else if (in.op == isa::Opcode::HALT) {
-                te.executedIdx.push_back(int(idx));
-                te.trace.push_back(ti);
-                te.rfTrace.push_back(InitStore);
+                append(int(idx), ti, InitStore);
                 complete = true;
                 break;
             }
 
-            te.executedIdx.push_back(int(idx));
-            te.trace.push_back(ti);
-            te.rfTrace.push_back(rf_src);
+            append(int(idx), ti, rf_src);
             idx = next_idx;
+        }
+        if (k != te.trace.size()) {
+            shapeChanged = true;
+            te.executedIdx.resize(k);
+            te.trace.resize(k);
+            te.rfTrace.resize(k);
         }
         if (!complete)
             return false;
         te.complete = true;
     }
+    return true;
+}
+
+bool
+CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
+                                   Scratch &scratch) const
+{
+    const size_t nthreads = _test.threads.size();
+    if (scratch.owner != _id) {
+        // A new test: drop the previous one's traces (keeping their
+        // buffers) so nothing of its shape can carry over.
+        scratch.owner = _id;
+        ++scratch.shapeEpoch;
+        scratch.exec.resize(nthreads);
+        for (ThreadExec &te : scratch.exec) {
+            te.executedIdx.clear();
+            te.trace.clear();
+            te.rfTrace.clear();
+        }
+        scratch.next.resize(_maxThreadLen);
+        scratch.seeded.resize(_loadSites.size());
+    }
+    scratch.sites.assign(_siteBase.back(), Site{});
+    std::fill(scratch.seeded.begin(), scratch.seeded.end(), 0);
+
+    runFixpoint(rf, scratch, 0);
+
+    // Executed loads whose value is still undetermined (a value
+    // cycle): try each seed value for the whole set; keep the first
+    // consistent assignment.
+    auto markUndetermined = [&] {
+        bool any = false;
+        for (size_t i = 0; i < _loadSites.size(); ++i) {
+            const Site &sv = scratch.sites[site(_loadSites[i].first,
+                                                _loadSites[i].second)];
+            scratch.seeded[i] =
+                (sv.known & Executed) && !(sv.known & KnownData);
+            any |= scratch.seeded[i] != 0;
+        }
+        return any;
+    };
+    if (markUndetermined() && !_options.seedValues.empty()) {
+        for (Value seed : _options.seedValues) {
+            markUndetermined();
+            runFixpoint(rf, scratch, seed);
+            if (loadsConsistent(rf, scratch.sites))
+                break;
+            std::fill(scratch.seeded.begin(), scratch.seeded.end(), 0);
+        }
+    }
+
+    // Final validation and trace construction.
+    if (!commitTraces(rf, scratch))
+        return false;
 
     // rf validity: executed loads read executed same-address stores;
     // unexecuted loads must use the canonical InitStore choice.
+    const std::vector<Site> &sites = scratch.sites;
     for (size_t i = 0; i < _loadSites.size(); ++i) {
         auto [tid, idx] = _loadSites[i];
-        const SiteVals &sv = sites[size_t(tid)][size_t(idx)];
-        if (!sv.executed) {
+        const Site &sv = sites[site(tid, idx)];
+        if (!(sv.known & Executed)) {
             if (rf[i] != InitStore)
                 return false; // canonical duplicate
             continue;
@@ -515,16 +576,17 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
         if (rf[i] == InitStore) {
             // (Relevant after seeding:) the load's value must really be
             // the initial memory value of its address.
-            if (*sv.data != initialMemValue(_test.initialMem, *sv.addr))
+            if (sv.data != initialMemValue(_test.initialMem, sv.addr))
                 return false;
             continue;
         }
         auto [stid, sidx] = storeIdParts(rf[i]);
-        const SiteVals &ss = sites[size_t(stid)][size_t(sidx)];
-        if (!ss.executed || !ss.addr || *ss.addr != *sv.addr)
+        const Site &ss = sites[site(stid, sidx)];
+        if (!(ss.known & Executed) || !(ss.known & KnownAddr)
+            || ss.addr != sv.addr)
             return false;
-        auto supplied = supplied_value(rf[i]);
-        if (!supplied || *supplied != *sv.data)
+        auto supplied = suppliedValue(rf[i], sites);
+        if (!supplied || *supplied != sv.data)
             return false;
     }
     return true;
@@ -532,29 +594,87 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
 
 // -------------------------------------------------- CandidateEnumerator
 
-/** Everything one worker carries through one rf candidate's search. */
+void
+CoOrder::assign(const std::vector<CandidateEvent> &events)
+{
+    _addrs.clear();
+    for (const CandidateEvent &ev : events)
+        if (ev.isStore && indexOf(ev.addr) < 0)
+            _addrs.insert(std::upper_bound(_addrs.begin(), _addrs.end(),
+                                           ev.addr),
+                          ev.addr);
+    _begin.assign(_addrs.size() + 1, 0);
+    for (const CandidateEvent &ev : events)
+        if (ev.isStore)
+            ++_begin[size_t(indexOf(ev.addr)) + 1];
+    for (size_t i = 0; i < _addrs.size(); ++i)
+        _begin[i + 1] += _begin[i];
+    _stores.resize(_begin.back());
+    _order.resize(_begin.back());
+    // _len doubles as the fill cursor, then every order starts empty.
+    _len.assign(_addrs.size(), 0);
+    for (size_t v = 0; v < events.size(); ++v) {
+        if (events[v].isStore) {
+            const size_t i = size_t(indexOf(events[v].addr));
+            _stores[_begin[i] + _len[i]++] = int(v);
+        }
+    }
+    std::fill(_len.begin(), _len.end(), 0);
+}
+
+std::span<int>
+CoOrder::placeAll(size_t i)
+{
+    const std::span<const int> all = stores(i);
+    std::copy(all.begin(), all.end(), _order.begin() + _begin[i]);
+    _len[i] = uint32_t(all.size());
+    return {_order.data() + _begin[i], all.size()};
+}
+
+/**
+ * What every walk carries from one rf candidate to the next: the
+ * builder's scratch and the tables derived from its result, all reused
+ * across the rf stream so a warm walk allocates nothing per rf map.
+ */
+struct CandidateEnumerator::Walk
+{
+    CandidateBuilder::Scratch scratch{};
+    uint64_t rfEpoch = 0;
+    /** The scratch shape epoch the per-shape tables were built for. */
+    uint64_t shape = 0;
+    bool anyShape = false;
+
+    // Per rf epoch.
+    std::vector<CandidateEvent> events{};
+    // Per shape.
+    std::vector<const model::Trace *> traces{};
+    /** Store sets per address; the orders grow during the search. */
+    CoOrder coOrder{};
+    /** Leaves under a whole address suffix: suffixLeaves[i] =
+     *  prod_{j >= i} |stores(j)|! (suffixLeaves[naddrs] = 1). */
+    std::vector<uint64_t> suffixLeaves{};
+    /** Unplaced stores per address, in coOrder's slot layout; the
+     *  search restores them (and coOrder) on the way back up. */
+    std::vector<int> remaining{};
+    std::vector<uint32_t> remainingLen{};
+    uint64_t placedTotal = 0;
+
+    CandidateExecution
+    candidate(bool complete) const
+    {
+        return {events, coOrder, traces, rfEpoch, scratch.shapeEpoch,
+                complete};
+    }
+};
+
+/** Everything one worker carries through its share of the search. */
 struct CandidateEnumerator::SearchCtx
 {
     IncrementalFilter &filter;
     litmus::OutcomeSet &outcomes;
     CheckerStats &stats;
     const litmus::LitmusTest &test;
-
-    std::vector<CandidateBuilder::ThreadExec> exec{};
-    uint64_t rfEpoch = 0;
-
-    // Derived per rf candidate.
-    std::vector<CandidateEvent> events{};
-    std::vector<const model::Trace *> traces{};
-    std::vector<Addr> addrs{};                       ///< search order
-    std::map<Addr, std::vector<int>> storesByAddr{}; ///< full store sets
-    std::map<Addr, std::vector<int>> coOrder{};      ///< growing prefixes
-    /** Leaves under a whole address suffix: suffixLeaves[i] =
-     *  prod_{j >= i} |stores(addrs[j])|! (suffixLeaves[naddrs] = 1). */
-    std::vector<uint64_t> suffixLeaves{};
-    /** Unplaced stores per address (parallel to addrs). */
-    std::vector<std::vector<int>> remaining{};
-    uint64_t placedTotal = 0;
+    Walk walk{};
 };
 
 CandidateEnumerator::CandidateEnumerator(const litmus::LitmusTest &test,
@@ -598,7 +718,7 @@ litmus::Outcome
 candidateOutcome(const litmus::LitmusTest &test,
                  const std::vector<CandidateBuilder::ThreadExec> &exec,
                  const std::vector<CandidateEvent> &events,
-                 const std::map<Addr, std::vector<int>> &coOrder)
+                 const CoOrder &coOrder)
 {
     litmus::Outcome outcome;
     for (auto [tid, reg] : test.observedRegs) {
@@ -608,9 +728,9 @@ candidateOutcome(const litmus::LitmusTest &test,
     }
     for (Addr a : test.addressUniverse) {
         Value v = initialMemValue(test.initialMem, a);
-        auto it = coOrder.find(a);
-        if (it != coOrder.end() && !it->second.empty())
-            v = events[size_t(it->second.back())].value;
+        const std::span<const int> order = coOrder.of(a);
+        if (!order.empty())
+            v = events[size_t(order.back())].value;
         outcome.mem.push_back({a, v});
     }
     outcome.canonicalize();
@@ -623,60 +743,91 @@ void
 recordCandidateOutcome(
     const litmus::LitmusTest &test,
     const std::vector<CandidateBuilder::ThreadExec> &exec,
-    const std::vector<CandidateEvent> &events,
-    const std::map<Addr, std::vector<int>> &coOrder,
+    const std::vector<CandidateEvent> &events, const CoOrder &coOrder,
     litmus::OutcomeSet &outcomes)
 {
     outcomes.insert(candidateOutcome(test, exec, events, coOrder));
 }
 
 void
+CandidateEnumerator::prepareEpoch(Walk &walk, CheckerStats &stats) const
+{
+    collectCandidateEvents(walk.scratch.exec, walk.events);
+    walk.placedTotal = 0;
+    if (walk.anyShape && walk.shape == walk.scratch.shapeEpoch)
+        return;
+    walk.anyShape = true;
+    walk.shape = walk.scratch.shapeEpoch;
+    ++stats.shapeChanges;
+
+    walk.traces.clear();
+    for (const auto &te : walk.scratch.exec)
+        walk.traces.push_back(&te.trace);
+    CoOrder &co = walk.coOrder;
+    co.assign(walk.events);
+    walk.suffixLeaves.assign(co.size() + 1, 1);
+    for (size_t i = co.size(); i-- > 0;)
+        walk.suffixLeaves[i] = satMul(walk.suffixLeaves[i + 1],
+                                      satFactorial(co.stores(i).size()));
+    walk.remaining.resize(co.slots());
+    walk.remainingLen.resize(co.size());
+    for (size_t i = 0; i < co.size(); ++i) {
+        const std::span<const int> stores = co.stores(i);
+        std::copy(stores.begin(), stores.end(),
+                  walk.remaining.begin() + std::ptrdiff_t(co.slot(i)));
+        walk.remainingLen[i] = uint32_t(stores.size());
+    }
+}
+
+namespace
+{
+
+/**
+ * Visit each unplaced store of address @p ai in turn: take it out of
+ * the remaining list, append it to the coherence order, call
+ * @p visit(event, storesLeft), then put both back.  The lists are
+ * restored exactly, so siblings and later epochs see them unchanged.
+ */
+template <typename Walk, typename Visit>
+void
+forEachNextStore(Walk &walk, size_t ai, Visit &&visit)
+{
+    int *rem = walk.remaining.data() + walk.coOrder.slot(ai);
+    uint32_t &len = walk.remainingLen[ai];
+    for (uint32_t k = 0; k < len; ++k) {
+        const int v = rem[k];
+        std::copy(rem + k + 1, rem + len, rem + k);
+        --len;
+        walk.coOrder.push(ai, v);
+        ++walk.placedTotal;
+        visit(v, len);
+        --walk.placedTotal;
+        walk.coOrder.pop(ai);
+        std::copy_backward(rem + k, rem + len, rem + len + 1);
+        rem[k] = v;
+        ++len;
+    }
+}
+
+} // anonymous namespace
+
+void
 CandidateEnumerator::searchCoherence(SearchCtx &ctx) const
 {
-    // ---- Collect memory events (thread-major, trace order). ----
-    ctx.traces.clear();
-    ctx.addrs.clear();
-    ctx.storesByAddr.clear();
-    ctx.coOrder.clear();
-    ctx.placedTotal = 0;
-
-    collectCandidateEvents(ctx.exec, ctx.events);
-    for (const auto &te : ctx.exec)
-        ctx.traces.push_back(&te.trace);
-
-    for (size_t v = 0; v < ctx.events.size(); ++v)
-        if (ctx.events[v].isStore)
-            ctx.storesByAddr[ctx.events[v].addr].push_back(int(v));
-    for (auto &[a, stores] : ctx.storesByAddr) {
-        ctx.addrs.push_back(a);
-        ctx.coOrder[a]; // empty prefix
-        (void)stores;
-    }
-
-    ctx.suffixLeaves.assign(ctx.addrs.size() + 1, 1);
-    for (size_t i = ctx.addrs.size(); i-- > 0;) {
-        ctx.suffixLeaves[i] = satMul(
-            ctx.suffixLeaves[i + 1],
-            satFactorial(ctx.storesByAddr[ctx.addrs[i]].size()));
-    }
-
-    const CandidateExecution partial{ctx.events, ctx.coOrder,
-                                     ctx.traces, ctx.rfEpoch,
-                                     /*complete=*/false};
+    Walk &w = ctx.walk;
+    prepareEpoch(w, ctx.stats);
+    const CandidateExecution partial = w.candidate(/*complete=*/false);
 
     if (!ctx.filter.beginRf(partial)) {
         ++ctx.stats.rfPruned;
         ctx.stats.subtreesSkipped =
-            satAdd(ctx.stats.subtreesSkipped, ctx.suffixLeaves[0]);
+            satAdd(ctx.stats.subtreesSkipped, w.suffixLeaves[0]);
         return;
     }
 
     // ---- Depth-first coherence construction with backtracking:
     // extend one address's order a store at a time, let the filter
     // veto the subtree, move to the next address when exhausted. ----
-    ctx.remaining.resize(ctx.addrs.size());
-    for (size_t i = 0; i < ctx.addrs.size(); ++i)
-        ctx.remaining[i] = ctx.storesByAddr[ctx.addrs[i]];
     descendCoherence(ctx, 0, partial);
 }
 
@@ -684,7 +835,8 @@ void
 CandidateEnumerator::recordOutcome(SearchCtx &ctx) const
 {
     ++ctx.stats.accepted;
-    recordCandidateOutcome(ctx.test, ctx.exec, ctx.events, ctx.coOrder,
+    recordCandidateOutcome(ctx.test, ctx.walk.scratch.exec,
+                           ctx.walk.events, ctx.walk.coOrder,
                            ctx.outcomes);
 }
 
@@ -692,43 +844,31 @@ void
 CandidateEnumerator::descendCoherence(
     SearchCtx &ctx, size_t ai, const CandidateExecution &partial) const
 {
-    if (ai == ctx.addrs.size()) {
+    Walk &w = ctx.walk;
+    if (ai == w.coOrder.size()) {
         ++ctx.stats.coCandidates;
-        const CandidateExecution complete{ctx.events, ctx.coOrder,
-                                          ctx.traces, ctx.rfEpoch,
-                                          /*complete=*/true};
-        if (ctx.filter.accept(complete))
+        if (ctx.filter.accept(w.candidate(/*complete=*/true)))
             recordOutcome(ctx);
         return;
     }
-    const Addr a = ctx.addrs[ai];
-    auto &rem = ctx.remaining[ai];
-    if (rem.empty()) {
+    if (w.remainingLen[ai] == 0) {
         descendCoherence(ctx, ai + 1, partial);
         return;
     }
-    auto &placed = ctx.coOrder[a];
-    for (size_t k = 0; k < rem.size(); ++k) {
-        const int v = rem[k];
-        rem.erase(rem.begin() + std::ptrdiff_t(k));
-        placed.push_back(v);
-        ++ctx.placedTotal;
+    const Addr a = w.coOrder.addr(ai);
+    forEachNextStore(w, ai, [&](int v, size_t left) {
         if (ctx.filter.pushStore(partial, a, v)) {
             descendCoherence(ctx, ai, partial);
         } else {
             ++ctx.stats.partialsPruned;
             ctx.stats.subtreesSkipped = satAdd(
                 ctx.stats.subtreesSkipped,
-                satMul(satFactorial(rem.size()),
-                       ctx.suffixLeaves[ai + 1]));
-            ctx.stats.maxBacktrackDepth = std::max(
-                ctx.stats.maxBacktrackDepth, ctx.placedTotal);
+                satMul(satFactorial(left), w.suffixLeaves[ai + 1]));
+            ctx.stats.maxBacktrackDepth =
+                std::max(ctx.stats.maxBacktrackDepth, w.placedTotal);
         }
         ctx.filter.popStore(partial, a, v);
-        --ctx.placedTotal;
-        placed.pop_back();
-        rem.insert(rem.begin() + std::ptrdiff_t(k), v);
-    }
+    });
 }
 
 void
@@ -749,9 +889,9 @@ CandidateEnumerator::searchRfRange(size_t prefixLoads,
     }
 
     std::vector<StoreId> rf(nloads, InitStore);
-    // One context for the whole range: searchCoherence() clears the
-    // per-candidate pieces, so the buffers are reused across the
-    // millions of rf maps a campaign iterates.
+    // One context for the whole range: the builder scratch and the
+    // per-epoch tables are reused across the millions of rf maps a
+    // campaign iterates.
     SearchCtx ctx{.filter = filter,
                   .outcomes = outcomes,
                   .stats = stats,
@@ -762,8 +902,8 @@ CandidateEnumerator::searchRfRange(size_t prefixLoads,
             rf[i] = choices[i][odo[i]];
 
         ++stats.rfCandidates;
-        ++ctx.rfEpoch;
-        if (_builder.computeExecution(rf, ctx.exec)) {
+        ++ctx.walk.rfEpoch;
+        if (_builder.computeExecution(rf, ctx.walk.scratch)) {
             ++stats.valueConsistent;
             // The coherence-growth phase of this rf epoch: one span
             // per value-consistent rf map (tracing-disabled cost is a
@@ -808,6 +948,8 @@ reportEnumMetrics(const CheckerStats &s)
         obs::Counter &accepted = obs::metrics().counter("enum.accepted");
         obs::Counter &partialsPruned =
             obs::metrics().counter("enum.partials_pruned");
+        obs::Counter &shapeChanges =
+            obs::metrics().counter("enum.shape_changes");
         obs::Counter &runs = obs::metrics().counter("enum.runs");
     } m;
     m.rfCandidates.inc(s.rfCandidates);
@@ -815,6 +957,7 @@ reportEnumMetrics(const CheckerStats &s)
     m.coCandidates.inc(s.coCandidates);
     m.accepted.inc(s.accepted);
     m.partialsPruned.inc(s.partialsPruned);
+    m.shapeChanges.inc(s.shapeChanges);
     m.runs.inc();
 }
 
@@ -890,35 +1033,22 @@ struct CandidateEnumerator::MultiCtx
     std::vector<litmus::OutcomeSet> *outcomes;
     std::vector<CheckerStats> *lanes;
     /** Shared-walk counters (rf stream, fixpoint, leaves reached). */
-    CheckerStats walk{};
+    CheckerStats stats{};
     /** Dormancy depth per filter; -1 = live (see above). */
     std::vector<int64_t> dormantAt;
     const litmus::LitmusTest &test;
-
-    std::vector<CandidateBuilder::ThreadExec> exec{};
-    uint64_t rfEpoch = 0;
-
-    // Derived per rf candidate (buffers reused across the stream).
-    std::vector<CandidateEvent> events{};
-    std::vector<const model::Trace *> traces{};
-    std::vector<Addr> addrs{};
-    std::map<Addr, std::vector<int>> storesByAddr{};
-    std::map<Addr, std::vector<int>> coOrder{};
-    std::vector<uint64_t> suffixLeaves{};
-    std::vector<std::vector<int>> remaining{};
-    uint64_t placedTotal = 0;
+    Walk walk{};
 };
 
 void
 CandidateEnumerator::descendCoherenceMulti(
     MultiCtx &ctx, size_t ai, const CandidateExecution &partial) const
 {
+    Walk &w = ctx.walk;
     const size_t nlanes = ctx.filters.size();
-    if (ai == ctx.addrs.size()) {
-        ++ctx.walk.coCandidates;
-        const CandidateExecution complete{ctx.events, ctx.coOrder,
-                                          ctx.traces, ctx.rfEpoch,
-                                          /*complete=*/true};
+    if (ai == w.coOrder.size()) {
+        ++ctx.stats.coCandidates;
+        const CandidateExecution complete = w.candidate(/*complete=*/true);
         // The leaf's outcome is the same for every lane: build it once.
         std::optional<litmus::Outcome> outcome;
         for (size_t i = 0; i < nlanes; ++i) {
@@ -929,25 +1059,19 @@ CandidateEnumerator::descendCoherenceMulti(
             if (ctx.filters[i]->accept(complete)) {
                 ++lane.accepted;
                 if (!outcome)
-                    outcome = candidateOutcome(ctx.test, ctx.exec,
-                                               ctx.events, ctx.coOrder);
+                    outcome = candidateOutcome(ctx.test, w.scratch.exec,
+                                               w.events, w.coOrder);
                 (*ctx.outcomes)[i].insert(*outcome);
             }
         }
         return;
     }
-    const Addr a = ctx.addrs[ai];
-    auto &rem = ctx.remaining[ai];
-    if (rem.empty()) {
+    if (w.remainingLen[ai] == 0) {
         descendCoherenceMulti(ctx, ai + 1, partial);
         return;
     }
-    auto &placed = ctx.coOrder[a];
-    for (size_t k = 0; k < rem.size(); ++k) {
-        const int v = rem[k];
-        rem.erase(rem.begin() + std::ptrdiff_t(k));
-        placed.push_back(v);
-        ++ctx.placedTotal;
+    const Addr a = w.coOrder.addr(ai);
+    forEachNextStore(w, ai, [&](int v, size_t left) {
         size_t live = 0;
         for (size_t i = 0; i < nlanes; ++i) {
             if (ctx.dormantAt[i] >= 0)
@@ -958,22 +1082,21 @@ CandidateEnumerator::descendCoherenceMulti(
             }
             // This lane's subtree accounting is exactly the solo
             // run's; the walk itself descends only for the others.
-            ctx.dormantAt[i] = int64_t(ctx.placedTotal);
+            ctx.dormantAt[i] = int64_t(w.placedTotal);
             CheckerStats &lane = (*ctx.lanes)[i];
             ++lane.partialsPruned;
             lane.subtreesSkipped = satAdd(
                 lane.subtreesSkipped,
-                satMul(satFactorial(rem.size()),
-                       ctx.suffixLeaves[ai + 1]));
+                satMul(satFactorial(left), w.suffixLeaves[ai + 1]));
             lane.maxBacktrackDepth =
-                std::max(lane.maxBacktrackDepth, ctx.placedTotal);
+                std::max(lane.maxBacktrackDepth, w.placedTotal);
         }
         if (live > 0)
             descendCoherenceMulti(ctx, ai, partial);
         for (size_t i = 0; i < nlanes; ++i) {
             if (ctx.dormantAt[i] < 0) {
                 ctx.filters[i]->popStore(partial, a, v);
-            } else if (ctx.dormantAt[i] == int64_t(ctx.placedTotal)) {
+            } else if (ctx.dormantAt[i] == int64_t(w.placedTotal)) {
                 // Vetoed at exactly this push: the filter contract
                 // still delivers the matching popStore, and the lane
                 // rejoins the walk at the next sibling.
@@ -981,44 +1104,15 @@ CandidateEnumerator::descendCoherenceMulti(
                 ctx.dormantAt[i] = -1;
             }
         }
-        --ctx.placedTotal;
-        placed.pop_back();
-        rem.insert(rem.begin() + std::ptrdiff_t(k), v);
-    }
+    });
 }
 
 void
 CandidateEnumerator::searchCoherenceMulti(MultiCtx &ctx) const
 {
-    ctx.traces.clear();
-    ctx.addrs.clear();
-    ctx.storesByAddr.clear();
-    ctx.coOrder.clear();
-    ctx.placedTotal = 0;
-
-    collectCandidateEvents(ctx.exec, ctx.events);
-    for (const auto &te : ctx.exec)
-        ctx.traces.push_back(&te.trace);
-
-    for (size_t v = 0; v < ctx.events.size(); ++v)
-        if (ctx.events[v].isStore)
-            ctx.storesByAddr[ctx.events[v].addr].push_back(int(v));
-    for (auto &[a, stores] : ctx.storesByAddr) {
-        ctx.addrs.push_back(a);
-        ctx.coOrder[a]; // empty prefix
-        (void)stores;
-    }
-
-    ctx.suffixLeaves.assign(ctx.addrs.size() + 1, 1);
-    for (size_t i = ctx.addrs.size(); i-- > 0;) {
-        ctx.suffixLeaves[i] = satMul(
-            ctx.suffixLeaves[i + 1],
-            satFactorial(ctx.storesByAddr[ctx.addrs[i]].size()));
-    }
-
-    const CandidateExecution partial{ctx.events, ctx.coOrder,
-                                     ctx.traces, ctx.rfEpoch,
-                                     /*complete=*/false};
+    Walk &w = ctx.walk;
+    prepareEpoch(w, ctx.stats);
+    const CandidateExecution partial = w.candidate(/*complete=*/false);
     size_t live = 0;
     for (size_t i = 0; i < ctx.filters.size(); ++i) {
         if (ctx.filters[i]->beginRf(partial)) {
@@ -1029,16 +1123,11 @@ CandidateEnumerator::searchCoherenceMulti(MultiCtx &ctx) const
             CheckerStats &lane = (*ctx.lanes)[i];
             ++lane.rfPruned;
             lane.subtreesSkipped =
-                satAdd(lane.subtreesSkipped, ctx.suffixLeaves[0]);
+                satAdd(lane.subtreesSkipped, w.suffixLeaves[0]);
         }
     }
-    if (live == 0)
-        return;
-
-    ctx.remaining.resize(ctx.addrs.size());
-    for (size_t i = 0; i < ctx.addrs.size(); ++i)
-        ctx.remaining[i] = ctx.storesByAddr[ctx.addrs[i]];
-    descendCoherenceMulti(ctx, 0, partial);
+    if (live > 0)
+        descendCoherenceMulti(ctx, 0, partial);
 }
 
 void
@@ -1054,14 +1143,14 @@ CandidateEnumerator::searchRfRangeMulti(MultiCtx &ctx) const
         for (size_t i = 0; i < nloads; ++i)
             rf[i] = choices[i][odo[i]];
 
-        ++ctx.walk.rfCandidates;
-        ++ctx.rfEpoch;
-        if (_builder.computeExecution(rf, ctx.exec)) {
-            ++ctx.walk.valueConsistent;
+        ++ctx.stats.rfCandidates;
+        ++ctx.walk.rfEpoch;
+        if (_builder.computeExecution(rf, ctx.walk.scratch)) {
+            ++ctx.stats.valueConsistent;
             obs::TraceSpan coSpan("enum.co_search");
             searchCoherenceMulti(ctx);
         } else {
-            ++ctx.walk.valueCycles;
+            ++ctx.stats.valueCycles;
         }
 
         size_t pos = 0;
@@ -1113,18 +1202,20 @@ CandidateEnumerator::runMulti(const std::vector<FilterFactory> &factories,
     // its filter would report: the walk counters are common to every
     // lane by construction, the pruning counters were kept per lane.
     for (CheckerStats &lane : lanes) {
-        lane.rfCandidates = ctx.walk.rfCandidates;
-        lane.valueConsistent = ctx.walk.valueConsistent;
-        lane.valueCycles = ctx.walk.valueCycles;
+        lane.rfCandidates = ctx.stats.rfCandidates;
+        lane.valueConsistent = ctx.stats.valueConsistent;
+        lane.valueCycles = ctx.stats.valueCycles;
+        lane.shapeChanges = ctx.stats.shapeChanges;
         lane.rfStaticSkipped = _stats.rfStaticSkipped;
     }
 
     // stats() describes the pass itself: the one shared walk, plus
     // every lane's pruning and acceptance totals.
-    _stats.rfCandidates = ctx.walk.rfCandidates;
-    _stats.valueConsistent = ctx.walk.valueConsistent;
-    _stats.valueCycles = ctx.walk.valueCycles;
-    _stats.coCandidates = ctx.walk.coCandidates;
+    _stats.rfCandidates = ctx.stats.rfCandidates;
+    _stats.valueConsistent = ctx.stats.valueConsistent;
+    _stats.valueCycles = ctx.stats.valueCycles;
+    _stats.shapeChanges = ctx.stats.shapeChanges;
+    _stats.coCandidates = ctx.stats.coCandidates;
     for (const CheckerStats &lane : lanes) {
         _stats.rfPruned += lane.rfPruned;
         _stats.partialsPruned += lane.partialsPruned;

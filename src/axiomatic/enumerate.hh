@@ -41,9 +41,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -103,6 +103,13 @@ struct CheckerStats
     uint64_t coCandidates = 0;      ///< complete (rf, co) candidates checked
     uint64_t accepted = 0;          ///< ... that were legal
     uint64_t valueCycles = 0;       ///< rf maps with undetermined values
+    /**
+     * Value-consistent rf maps whose shape (executed instruction path
+     * or a resolved address) differed from the previous one's, so the
+     * walk rebuilt its per-shape tables.  rf_candidates over this is
+     * the reuse rate of those tables.
+     */
+    uint64_t shapeChanges = 0;
 
     // Incremental-search counters (zero on the legacy path).
     /** rf maps skipped outright by static address feasibility. */
@@ -138,6 +145,87 @@ struct CandidateEvent
 };
 
 /**
+ * Per-address coherence orders, flat.  The addresses are those at least
+ * one store event writes, in ascending order; address i owns one slot
+ * range sized to its store count, which holds two lists:
+ *
+ *  - stores(i): the address's full store set, as event indices in
+ *    event order -- fixed for a whole shape (see CandidateExecution);
+ *  - order(i): its coherence order, first to last.  During the
+ *    incremental search it is a prefix of a permutation of stores(i);
+ *    at complete candidates, the whole permutation.
+ *
+ * Storage is kept across assign() calls, so a table reused across rf
+ * maps allocates only when a test has more stores than any before.
+ */
+class CoOrder
+{
+  public:
+    /** Rebuild the address table from @p events; every order empty. */
+    void assign(const std::vector<CandidateEvent> &events);
+
+    /** Number of addresses written by some store. */
+    size_t size() const { return _addrs.size(); }
+    isa::Addr addr(size_t i) const { return _addrs[i]; }
+
+    /** Index of address @p a, or -1 when no store writes it. */
+    int
+    indexOf(isa::Addr a) const
+    {
+        for (size_t i = 0; i < _addrs.size(); ++i)
+            if (_addrs[i] == a)
+                return int(i);
+        return -1;
+    }
+
+    /** First slot of address @p i (slots are in address order). */
+    size_t slot(size_t i) const { return _begin[i]; }
+    /** Total slots: the number of store events. */
+    size_t slots() const { return _stores.size(); }
+
+    std::span<const int>
+    stores(size_t i) const
+    {
+        return {_stores.data() + _begin[i], _begin[i + 1] - _begin[i]};
+    }
+
+    std::span<const int>
+    order(size_t i) const
+    {
+        return {_order.data() + _begin[i], _len[i]};
+    }
+
+    /** The order of address @p a; empty when no store writes it. */
+    std::span<const int>
+    of(isa::Addr a) const
+    {
+        const int i = indexOf(a);
+        return i < 0 ? std::span<const int>{} : order(size_t(i));
+    }
+
+    /** Append event @p event to address @p i's order. */
+    void push(size_t i, int event) { _order[_begin[i] + _len[i]++] = event; }
+    /** Drop the last entry of address @p i's order. */
+    void pop(size_t i) { --_len[i]; }
+
+    /**
+     * Place every store of address @p i, in event order, and return
+     * the order for in-place permutation (the legacy pipeline's
+     * std::next_permutation walk).
+     */
+    std::span<int> placeAll(size_t i);
+
+  private:
+    std::vector<isa::Addr> _addrs;
+    /** Slot range of address i: [_begin[i], _begin[i + 1]). */
+    std::vector<uint32_t> _begin;
+    /** Placed entries per address. */
+    std::vector<uint32_t> _len;
+    std::vector<int> _stores;
+    std::vector<int> _order;
+};
+
+/**
  * One candidate execution: the committed thread traces plus one
  * read-from map and per-address coherence orders.  This is the domain
  * over which relational (cat-style) model engines evaluate their
@@ -158,8 +246,8 @@ struct CandidateExecution
 {
     /** All memory events, thread-major, trace order within a thread. */
     const std::vector<CandidateEvent> &events;
-    /** Coherence order per address: event indices, first to last. */
-    const std::map<isa::Addr, std::vector<int>> &coOrder;
+    /** Coherence order per address, ascending address order. */
+    const CoOrder &coOrder;
     /** Committed per-thread traces (fences/branches included). */
     const std::vector<const model::Trace *> &traces;
     /**
@@ -169,6 +257,16 @@ struct CandidateExecution
      * trace-derived data (program order, dependencies) keyed on it.
      */
     uint64_t rfEpoch;
+    /**
+     * Changes only when the *shape* changes: the executed instruction
+     * path of some thread or a resolved address
+     * (CandidateBuilder::Scratch::shapeEpoch).  Candidates with equal
+     * shape epochs have the same traces up to data values, the same
+     * events up to value and rf, and the same coOrder store sets.
+     * Like rfEpoch, it is unique within one filter's candidate
+     * stream, not across streams.
+     */
+    uint64_t shapeEpoch;
     /** False while coOrder still holds prefixes (see above). */
     bool complete = true;
 };
@@ -270,6 +368,57 @@ class CandidateBuilder
         std::array<std::optional<isa::Value>, isa::NUM_REGS> regs;
     };
 
+    /**
+     * Caller-owned working memory and result of computeExecution().
+     * The builder keeps nothing per call, so workers share one builder
+     * and each owns a Scratch (the enumerator keeps one per search
+     * worker); a Scratch must not be used by two threads at once.  It
+     * may be reused across builders, i.e. tests of any size: the first
+     * call under a new builder resets it.  Every buffer keeps its
+     * capacity, so once warm a call allocates nothing.
+     */
+    struct Scratch
+    {
+        /**
+         * The execution of the last call, one entry per thread.  Only
+         * meaningful after a call returned true: a rejected map leaves
+         * it partly overwritten.
+         */
+        std::vector<ThreadExec> exec;
+        /**
+         * Bumped whenever some call changes exec's shape -- which
+         * static instructions a thread executed, or a resolved address
+         * -- and on the first call under a new builder.  Equal values
+         * after two successful calls mean equal shapes: the traces
+         * differ at most in data values, and rfTrace in its sources.
+         */
+        uint64_t shapeEpoch = 0;
+
+        /** One static instruction's value state in the fixpoint: a
+         *  field is valid iff its bit is set in `known`. */
+        struct Site
+        {
+            isa::Value addr = 0;  ///< memory instructions
+            isa::Value data = 0;  ///< store data or load(ed) value
+            isa::Value data2 = 0; ///< RMWs: the value written to memory
+            uint8_t known = 0;    ///< Executed | Addr | Data | Data2 bits
+
+            bool operator==(const Site &) const = default;
+        };
+
+        // ---- builder-internal working memory
+        /** Builder this scratch last served (0: none yet). */
+        uint64_t owner = 0;
+        /** Flat site table (CandidateBuilder's site offsets). */
+        std::vector<Site> sites;
+        /** The unseeded fixpoint every seed attempt starts from. */
+        std::vector<Site> unseeded;
+        /** One thread's sites in the current fixpoint round. */
+        std::vector<Site> next;
+        /** Per load ordinal: value overridden by the current seed. */
+        std::vector<uint8_t> seeded;
+    };
+
     CandidateBuilder(const litmus::LitmusTest &test, Options options);
 
     /** Static load sites (tid, index), in enumeration order. */
@@ -303,27 +452,57 @@ class CandidateBuilder
     uint64_t rfStaticSkipped() const { return _rfStaticSkipped; }
 
     /**
-     * Execute all threads to a value fixpoint under @p rf; false when
-     * the map is value-inconsistent (wrong supplied value, unexecuted
-     * source, unaligned address from a bogus guess, or an undetermined
-     * value cycle no seed resolves).  Thread-safe: workers share one
-     * builder.
+     * Execute all threads to a value fixpoint under @p rf, into
+     * @p scratch.exec; false when the map is value-inconsistent (wrong
+     * supplied value, unexecuted source, unaligned address from a
+     * bogus guess, or an undetermined value cycle no seed resolves).
+     * Each seed is tried from the unseeded fixpoint.  Thread-safe:
+     * workers share one builder, each with its own @p scratch.
      */
     bool computeExecution(const std::vector<model::StoreId> &rf,
-                          std::vector<ThreadExec> &out) const;
+                          Scratch &scratch) const;
 
     const litmus::LitmusTest &test() const { return _test; }
     const Options &options() const { return _options; }
 
   private:
+    using Site = Scratch::Site;
+
     void computeStaticFeasibility();
+    /** Run every thread to a value fixpoint over scratch.sites. */
+    void runFixpoint(const std::vector<model::StoreId> &rf,
+                     Scratch &scratch, isa::Value seed) const;
+    /** Does every executed load's rf source supply its value? */
+    bool loadsConsistent(const std::vector<model::StoreId> &rf,
+                         const std::vector<Site> &sites) const;
+    /** Commit the fixpoint to scratch.exec; false on a blocked or
+     *  invalid trace.  Bumps the shape epoch on a shape change. */
+    bool commitTraces(const std::vector<model::StoreId> &rf,
+                      Scratch &scratch) const;
+    /** The value store @p src supplies to readers, if known. */
+    std::optional<isa::Value> suppliedValue(model::StoreId src,
+                                            const std::vector<Site> &sites)
+        const;
+    /** Flat site index of (tid, idx). */
+    size_t site(int tid, int idx) const
+    {
+        return _siteBase[size_t(tid)] + size_t(idx);
+    }
 
     const litmus::LitmusTest &_test;
     Options _options;
+    /** Unique per builder: tells a Scratch its owner changed. */
+    uint64_t _id;
     std::vector<std::pair<int, int>> _loadSites;
     std::vector<model::StoreId> _storeSites;
     std::vector<std::vector<model::StoreId>> _rfChoices;
     uint64_t _rfStaticSkipped = 0;
+    /** Per thread: its first flat site index; back() = site count. */
+    std::vector<size_t> _siteBase;
+    /** Per flat site: its ordinal in loadSites, or -1. */
+    std::vector<int> _loadOrdinal;
+    /** Longest thread (the per-round scratch size). */
+    size_t _maxThreadLen = 0;
 };
 
 /**
@@ -379,8 +558,17 @@ class CandidateEnumerator
     const CandidateBuilder &builder() const { return _builder; }
 
   private:
+    struct Walk;
     struct SearchCtx;
     struct MultiCtx;
+
+    /**
+     * Enter a new value-consistent rf epoch of @p walk: refresh its
+     * events, and rebuild the per-shape tables (traces, coOrder's
+     * store sets, suffixLeaves, remaining) only when the builder
+     * reported a new shape, counting it in @p stats.
+     */
+    void prepareEpoch(Walk &walk, CheckerStats &stats) const;
 
     /** Enumerate the rf maps extending @p prefix; one worker's share. */
     void searchRfRange(size_t prefixLoads, uint64_t prefixIndex,
@@ -391,7 +579,7 @@ class CandidateEnumerator
     /** Coherence search for one value-consistent rf candidate. */
     void searchCoherence(SearchCtx &ctx) const;
 
-    /** Recursive coherence extension over ctx.addrs[ai..]. */
+    /** Recursive coherence extension over the addresses ai... */
     void descendCoherence(SearchCtx &ctx, size_t ai,
                           const CandidateExecution &partial) const;
 
@@ -436,8 +624,7 @@ void collectCandidateEvents(
 void recordCandidateOutcome(
     const litmus::LitmusTest &test,
     const std::vector<CandidateBuilder::ThreadExec> &exec,
-    const std::vector<CandidateEvent> &events,
-    const std::map<isa::Addr, std::vector<int>> &coOrder,
+    const std::vector<CandidateEvent> &events, const CoOrder &coOrder,
     litmus::OutcomeSet &outcomes);
 
 /** Encode (tid, static index) as a StoreId. */

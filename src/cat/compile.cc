@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -795,34 +796,40 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
                     *plan->foldExprs[k], view, slots, nullptr);
         slotsShape = shape;
 
-        // Candidate-to-view event translation and per-address tables.
+        // Candidate-to-view event translation, and each address's
+        // loads (by coOrder address index; a load of an address no
+        // store writes takes part in no fr edge).
+        const axiomatic::CoOrder &co = cand.coOrder;
         viewOfCand.assign(cand.events.size(), -1);
-        std::map<model::StoreId, int> candOfSid;
-        loadsByAddr.clear();
-        storesByAddr.clear();
-        for (size_t c = 0; c < cand.events.size(); ++c) {
+        for (size_t c = 0; c < cand.events.size(); ++c)
             viewOfCand[c] = builder.viewEventOfCand(c);
-            if (cand.events[c].isStore)
-                candOfSid[cand.events[c].sid] = int(c);
-        }
+        if (loadsByAddr.size() < co.size())
+            loadsByAddr.resize(co.size());
+        for (size_t ai = 0; ai < co.size(); ++ai)
+            loadsByAddr[ai].clear();
         for (size_t c = 0; c < cand.events.size(); ++c) {
             const auto &ev = cand.events[c];
-            if (ev.isStore)
-                storesByAddr[ev.addr].push_back(viewOfCand[c]);
-            if (ev.isLoad) {
-                const int src = ev.rf == model::InitStore
-                    ? -1 : candOfSid.at(ev.rf);
-                loadsByAddr[ev.addr].push_back(
-                    {viewOfCand[c], src});
+            if (!ev.isLoad)
+                continue;
+            const int ai = co.indexOf(ev.addr);
+            if (ai < 0)
+                continue;
+            int src = -1;
+            if (ev.rf != model::InitStore) {
+                for (int s : co.stores(size_t(ai)))
+                    if (cand.events[size_t(s)].sid == ev.rf)
+                        src = s;
+                GAM_ASSERT(src >= 0, "rf store missing");
             }
+            loadsByAddr[size_t(ai)].push_back({viewOfCand[c], src});
         }
 
         if (needCoRel) {
-            coRel = Rel(n);
+            coRel.reset(n);
             coAdded.clear();
         }
         if (needFrRel) {
-            frRel = Rel(n);
+            frRel.reset(n);
             frAdded.clear();
         }
         frames.clear();
@@ -892,14 +899,12 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
         // precedes every same-address store in *every* completion
         // (the store set per address is fixed, only its order varies),
         // so these edges are installed -- and checked -- up front.
-        for (const auto &[addr, loads] : loadsByAddr) {
-            const auto sit = storesByAddr.find(addr);
-            if (sit == storesByAddr.end())
-                continue;
-            for (const LoadInfo &li : loads) {
+        for (size_t ai = 0; ai < co.size(); ++ai) {
+            for (const LoadInfo &li : loadsByAddr[ai]) {
                 if (li.srcCand >= 0)
                     continue;
-                for (const int s : sit->second) {
+                for (const int c : co.stores(ai)) {
+                    const int s = viewOfCand[size_t(c)];
                     if (s == li.viewIdx)
                         continue; // an RMW never fr-precedes itself
                     if (!addFrEdge(size_t(li.viewIdx), size_t(s)))
@@ -991,7 +996,8 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
     pushStoreImpl(const CandidateExecution &cand, isa::Addr addr,
                   int eventIdx)
     {
-        const auto &p = cand.coOrder.at(addr);
+        const int ai = cand.coOrder.indexOf(addr);
+        const std::span<const int> p = cand.coOrder.order(size_t(ai));
         const size_t vv = size_t(viewOfCand[size_t(eventIdx)]);
 
         // The coherence adjacency edge closes the whole new-pair set
@@ -1019,20 +1025,17 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
 
         // New from-read edges: loads of this address whose source is
         // already placed strictly before the new store.
-        if (const auto lit = loadsByAddr.find(addr);
-            lit != loadsByAddr.end()) {
-            for (const LoadInfo &li : lit->second) {
-                if (li.srcCand < 0 || li.srcCand == eventIdx
-                    || size_t(li.viewIdx) == vv)
-                    continue;
-                const bool placed =
-                    std::find(p.begin(), p.end() - 1, li.srcCand)
-                    != p.end() - 1;
-                if (!placed)
-                    continue;
-                if (!addFrEdge(size_t(li.viewIdx), vv))
-                    return false;
-            }
+        for (const LoadInfo &li : loadsByAddr[size_t(ai)]) {
+            if (li.srcCand < 0 || li.srcCand == eventIdx
+                || size_t(li.viewIdx) == vv)
+                continue;
+            const bool placed =
+                std::find(p.begin(), p.end() - 1, li.srcCand)
+                != p.end() - 1;
+            if (!placed)
+                continue;
+            if (!addFrEdge(size_t(li.viewIdx), vv))
+                return false;
         }
 
         // Monotone fallback axioms: a failure on the partial view can
@@ -1207,8 +1210,8 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
     bool anyResidual = false;
 
     std::vector<int> viewOfCand;
-    std::map<isa::Addr, std::vector<LoadInfo>> loadsByAddr;
-    std::map<isa::Addr, std::vector<int>> storesByAddr;
+    /** Per coOrder address index: its loads (buffers kept). */
+    std::vector<std::vector<LoadInfo>> loadsByAddr;
 
     Rel coRel, frRel;
     std::vector<std::pair<size_t, size_t>> coAdded, frAdded;

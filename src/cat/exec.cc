@@ -1,6 +1,8 @@
 #include "cat/exec.hh"
 
 #include <array>
+#include <map>
+#include <span>
 
 #include "base/logging.hh"
 #include "isa/instruction.hh"
@@ -16,10 +18,14 @@ const ExecView &
 ExecBuilder::view(const CandidateExecution &candidate)
 {
     if (!any || candidate.rfEpoch != epoch) {
-        if (!any || !sameShape(candidate))
+        // An unchanged shape epoch vouches for an unchanged shape; a
+        // new one may still bring back the shape already built.
+        if (!any || (candidate.shapeEpoch != shapeEpoch
+                     && !sameShape(candidate)))
             rebuildShape(candidate);
         rebuildRf(candidate);
         epoch = candidate.rfEpoch;
+        shapeEpoch = candidate.shapeEpoch;
         any = true;
     }
     rebuildCoherence(candidate);
@@ -206,21 +212,21 @@ ExecBuilder::rebuildShape(const CandidateExecution &cand)
 void
 ExecBuilder::rebuildRf(const CandidateExecution &cand)
 {
-    // Reads of the initial memory carry no edge.
+    // Reads of the initial memory carry no edge; a load's source is a
+    // store of its own address.
     v.rf.reset(v.n);
-    eventOfStore.clear();
-    for (size_t c = 0; c < cand.events.size(); ++c) {
-        const auto &ev = cand.events[c];
-        if (ev.isStore)
-            eventOfStore[ev.sid] = eventOfCand[c];
-    }
     for (size_t c = 0; c < cand.events.size(); ++c) {
         const auto &ev = cand.events[c];
         if (!ev.isLoad || ev.rf == model::InitStore)
             continue;
-        auto src = eventOfStore.find(ev.rf);
-        GAM_ASSERT(src != eventOfStore.end(), "rf store missing");
-        v.rf.set(size_t(src->second), size_t(eventOfCand[c]));
+        int src = -1;
+        const int ai = cand.coOrder.indexOf(ev.addr);
+        if (ai >= 0)
+            for (int s : cand.coOrder.stores(size_t(ai)))
+                if (cand.events[size_t(s)].sid == ev.rf)
+                    src = s;
+        GAM_ASSERT(src >= 0, "rf store missing");
+        v.rf.set(size_t(eventOfCand[size_t(src)]), size_t(eventOfCand[c]));
     }
 }
 
@@ -228,12 +234,12 @@ void
 ExecBuilder::rebuildCoherence(const CandidateExecution &cand)
 {
     const size_t n = v.n;
-    v.co = Rel(n);
-    v.fr = Rel(n);
+    v.co.reset(n);
+    v.fr.reset(n);
 
     // co: all ordered pairs of each per-address total order.
-    for (const auto &[a, order] : cand.coOrder) {
-        (void)a;
+    for (size_t ai = 0; ai < cand.coOrder.size(); ++ai) {
+        const std::span<const int> order = cand.coOrder.order(ai);
         for (size_t i = 0; i < order.size(); ++i) {
             for (size_t j = i + 1; j < order.size(); ++j) {
                 v.co.set(size_t(eventOfCand[size_t(order[i])]),
@@ -249,10 +255,8 @@ ExecBuilder::rebuildCoherence(const CandidateExecution &cand)
         if (!ld.isLoad)
             continue;
         const size_t l = size_t(eventOfCand[c]);
-        auto order_it = cand.coOrder.find(ld.addr);
-        if (order_it == cand.coOrder.end())
-            continue; // no stores for this address at all
-        const auto &order = order_it->second;
+        // Empty when no store writes this address at all.
+        const std::span<const int> order = cand.coOrder.of(ld.addr);
         bool after = ld.rf == model::InitStore; // init: all stores
         for (int s_cand : order) {
             const auto &st = cand.events[size_t(s_cand)];

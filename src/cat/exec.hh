@@ -41,7 +41,6 @@
 #ifndef GAM_CAT_EXEC_HH
 #define GAM_CAT_EXEC_HH
 
-#include <map>
 #include <vector>
 
 #include "axiomatic/checker.hh"
@@ -93,13 +92,6 @@ class ExecBuilder
      */
     uint64_t shapeGeneration() const { return shapeGen; }
 
-    /** View event index of the store @p sid, or -1 if unknown. */
-    int viewEventOfStore(model::StoreId sid) const
-    {
-        auto it = eventOfStore.find(sid);
-        return it != eventOfStore.end() ? it->second : -1;
-    }
-
   private:
     /** One trace entry as far as the shape reads it. */
     struct ShapeEntry
@@ -117,14 +109,14 @@ class ExecBuilder
 
     ExecView v;
     uint64_t epoch = ~uint64_t(0);
+    /** The candidate shape epoch of the last view. */
+    uint64_t shapeEpoch = 0;
     bool any = false;
     /** The traces the current shape was built from. */
     std::vector<ShapeEntry> shape;
     uint64_t shapeGen = 0;
     /** Candidate (memory) event index -> our event index. */
     std::vector<int> eventOfCand;
-    /** Store id -> our event index (rf/fr source lookup). */
-    std::map<model::StoreId, int> eventOfStore;
 };
 
 } // namespace gam::cat

@@ -19,6 +19,8 @@
 #include <string>
 
 #include "axiomatic/checker.hh"
+#include "base/hashing.hh"
+#include "campaign/enumerate.hh"
 #include "cat/engine.hh"
 #include "harness/decision.hh"
 #include "harness/litmus_runner.hh"
@@ -153,6 +155,185 @@ TEST(Enumerate, ParallelPrefixSearchIsDeterministic)
                 << name;
             EXPECT_EQ(four.stats().accepted, one.stats().accepted)
                 << name;
+        }
+    }
+}
+
+/**
+ * Every test the candidate-production golden digest covers: the
+ * built-in registry, the four-thread suite and the length <= 4 Full
+ * campaign universe, in that order.
+ */
+std::vector<LitmusTest>
+goldenTests()
+{
+    std::vector<LitmusTest> tests = litmus::allTests();
+    for (const LitmusTest &t : litmus::fourThreadSuite())
+        tests.push_back(t);
+    campaign::EnumerateOptions universe;
+    universe.maxLen = 4;
+    universe.canonical = campaign::CanonicalForm::Full;
+    campaign::enumerateCycles(
+        universe, [&](const campaign::CanonicalCycle &cycle) {
+            auto test = litmus::testFromCycle(cycle.name, cycle.edges,
+                                              cycle.numLocations);
+            if (test)
+                tests.push_back(std::move(*test));
+            return true;
+        });
+    return tests;
+}
+
+/** Fold one computeExecution() result into @p h. */
+void
+hashExecution(StateHasher &h, bool ok,
+              const std::vector<CandidateBuilder::ThreadExec> &exec)
+{
+    h.add(ok);
+    if (!ok)
+        return; // a rejected map's buffers hold no defined result
+    h.add(exec.size());
+    for (const CandidateBuilder::ThreadExec &te : exec) {
+        h.add(te.executedIdx.size());
+        for (size_t k = 0; k < te.executedIdx.size(); ++k) {
+            h.add(uint64_t(te.executedIdx[k]));
+            h.add(uint64_t(te.trace[k].addr));
+            h.add(uint64_t(te.trace[k].value));
+            h.add(uint64_t(te.trace[k].rmwStored));
+            h.add(uint64_t(uint32_t(te.rfTrace[k])));
+        }
+        for (const auto &r : te.regs)
+            h.add(r ? uint64_t(*r) * 2 + 1 : 0);
+    }
+}
+
+/**
+ * Call @p visit(ok) after computeExecution() into @p scratch for every
+ * rf map of @p test: each load ranges over InitStore and every store
+ * site, as the legacy pipeline does, with the condition's constants
+ * as seeds.
+ */
+template <typename Visit>
+void
+forEachRfMap(const LitmusTest &test, CandidateBuilder::Scratch &scratch,
+             Visit &&visit)
+{
+    CandidateBuilder builder(test, withConditionSeeds(test, {}));
+    const size_t nloads = builder.loadSites().size();
+    std::vector<model::StoreId> choices{model::InitStore};
+    choices.insert(choices.end(), builder.storeSites().begin(),
+                   builder.storeSites().end());
+    std::vector<size_t> odo(nloads, 0);
+    std::vector<model::StoreId> rf(nloads, model::InitStore);
+    for (;;) {
+        for (size_t i = 0; i < nloads; ++i)
+            rf[i] = choices[odo[i]];
+        visit(builder.computeExecution(rf, scratch));
+        size_t pos = 0;
+        while (pos < nloads && ++odo[pos] == choices.size())
+            odo[pos++] = 0;
+        if (pos == nloads)
+            break;
+    }
+}
+
+/**
+ * The digest of candidate production over goldenTests(), recorded
+ * before computeExecution() moved to flat site tables and caller-owned
+ * scratch.  The pruned-vs-legacy parity suites cannot catch a builder
+ * bug (both sides call the same builder); this pins its output.
+ */
+constexpr uint64_t GoldenDigest = 0x933b5a3de4e4e343ull;
+constexpr size_t GoldenTests = 434;
+
+TEST(Enumerate, CandidateProductionMatchesTheGoldenDigest)
+{
+    const std::vector<LitmusTest> tests = goldenTests();
+    ASSERT_EQ(tests.size(), GoldenTests);
+
+    // A fresh scratch per test.
+    StateHasher fresh;
+    for (const LitmusTest &test : tests) {
+        CandidateBuilder::Scratch scratch;
+        forEachRfMap(test, scratch, [&](bool ok) {
+            hashExecution(fresh, ok, scratch.exec);
+        });
+    }
+    EXPECT_EQ(fresh.digest(), GoldenDigest);
+
+    // One long-lived scratch across tests of every size, visited
+    // largest-first and then in order, must give the same results.
+    std::vector<const LitmusTest *> order;
+    for (const LitmusTest &test : tests)
+        order.push_back(&test);
+    std::stable_sort(order.begin(), order.end(),
+                     [](const LitmusTest *a, const LitmusTest *b) {
+                         return a->threads.size() > b->threads.size();
+                     });
+    CandidateBuilder::Scratch shared;
+    for (const LitmusTest *test : order)
+        forEachRfMap(*test, shared, [](bool) {});
+    StateHasher reused;
+    for (const LitmusTest &test : tests) {
+        forEachRfMap(test, shared, [&](bool ok) {
+            hashExecution(reused, ok, shared.exec);
+        });
+    }
+    EXPECT_EQ(reused.digest(), GoldenDigest);
+}
+
+TEST(Enumerate, ShapeEpochMovesOnlyWithThePathOrAnAddress)
+{
+    // mp: constant addresses, no branches -- every rf map has one
+    // shape, so the epoch moves once, on the first call.
+    {
+        CandidateBuilder::Scratch scratch;
+        std::set<uint64_t> epochs;
+        forEachRfMap(litmus::testByName("mp"), scratch, [&](bool ok) {
+            if (ok)
+                epochs.insert(scratch.shapeEpoch);
+        });
+        EXPECT_EQ(epochs.size(), 1u);
+        Checker checker(litmus::testByName("mp"), ModelKind::GAM);
+        checker.enumerate();
+        EXPECT_EQ(checker.stats().shapeChanges, 1u);
+    }
+    // mp_addr: the second load's address is the first load's value,
+    // so value-consistent maps resolve it to different addresses.
+    {
+        CandidateBuilder::Scratch scratch;
+        std::set<uint64_t> epochs;
+        forEachRfMap(litmus::testByName("mp_addr"), scratch,
+                     [&](bool ok) {
+                         if (ok)
+                             epochs.insert(scratch.shapeEpoch);
+                     });
+        EXPECT_GT(epochs.size(), 1u);
+        Checker checker(litmus::testByName("mp_addr"), ModelKind::GAM);
+        checker.enumerate();
+        EXPECT_GT(checker.stats().shapeChanges, 1u);
+        EXPECT_LE(checker.stats().shapeChanges,
+                  checker.stats().valueConsistent);
+    }
+}
+
+TEST(Enumerate, CandidateProductionIsWorkerIndependent)
+{
+    // Every search worker owns its builder scratch and walk tables:
+    // four workers must reproduce the serial outcomes and counters
+    // over the whole golden set (the TSan job runs this too).
+    for (const LitmusTest &test : goldenTests()) {
+        for (ModelKind model : {ModelKind::SC, ModelKind::GAM}) {
+            Checker one(test, model);
+            const litmus::OutcomeSet serial = one.enumerate();
+            Options wide;
+            wide.searchThreads = 4;
+            Checker four(test, model, wide);
+            EXPECT_EQ(four.enumerate(), serial) << test.name;
+            EXPECT_EQ(four.stats().coCandidates, one.stats().coCandidates)
+                << test.name;
+            EXPECT_EQ(four.stats().accepted, one.stats().accepted)
+                << test.name;
         }
     }
 }
