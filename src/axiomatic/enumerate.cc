@@ -159,9 +159,10 @@ CandidateBuilder::computeStaticFeasibility()
     // constant preludes.
     //
     // This walk is a deliberately separate abstract interpreter from
-    // computeExecution()'s run_fixpoint below (unknown load values,
-    // single prefix, no rf): keep their opcode dispatch in sync when
-    // the ISA changes.  Drift is unsound only in the skipping
+    // computeExecution()'s runFixpoint() below (unknown load values,
+    // single prefix, no rf), with the same value-independent cases
+    // (zeroingIdiom(), x ? x branches): keep their opcode dispatch in
+    // sync when the ISA changes.  Drift is unsound only in the skipping
     // direction and shows up immediately as an outcome-set difference
     // in tests/enumerate_test.cc's pruned-vs-legacy parity suites.
     std::vector<std::vector<std::optional<Value>>> staticAddr(
@@ -316,7 +317,10 @@ CandidateBuilder::runFixpoint(const std::vector<StoreId> &rf,
                 Site &sv = next[idx];
                 sv.known = Executed;
                 if (in.isRegToReg()) {
-                    const bool ok = known(in.src1) && known(in.src2);
+                    // x ^ x and x - x are 0 whatever x holds (unknown
+                    // registers read 0, so they evaluate right).
+                    const bool ok = zeroingIdiom(in)
+                        || (known(in.src1) && known(in.src2));
                     set(in.dst, ok,
                         ok ? isa::evalRegToReg(in, regs[size_t(in.src1)],
                                                regs[size_t(in.src2)])
@@ -337,7 +341,11 @@ CandidateBuilder::runFixpoint(const std::vector<StoreId> &rf,
                             sv.data = v;
                             sv.known |= KnownData;
                         }
-                        if (in.isRmw() && ok && known(in.src2)) {
+                        // A swap's stored value is known without
+                        // its loaded one, which breaks value cycles
+                        // through it.
+                        if (in.isRmw() && known(in.src2)
+                            && (ok || !isa::rmwStoredReadsOld(in))) {
                             sv.data2 = isa::evalRmwStored(
                                 in, v, regs[size_t(in.src2)]);
                             sv.known |= KnownData2;
@@ -348,8 +356,11 @@ CandidateBuilder::runFixpoint(const std::vector<StoreId> &rf,
                         sv.known |= KnownData;
                     }
                 } else if (in.isBranch()) {
-                    // Direction unknown: stop here this round.
-                    const bool ok = known(in.src1) && known(in.src2);
+                    // x ? x is value-independent (unknown registers
+                    // read 0, so it evaluates right); any other
+                    // direction unknown stops the thread this round.
+                    const bool ok = in.src1 == in.src2
+                        || (known(in.src1) && known(in.src2));
                     if (in.op != isa::Opcode::JMP && !ok)
                         break;
                     if (isa::evalBranchTaken(in, regs[size_t(in.src1)],
@@ -535,27 +546,31 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
     runFixpoint(rf, scratch, 0);
 
     // Executed loads whose value is still undetermined (a value
-    // cycle): try each seed value for the whole set; keep the first
-    // consistent assignment.
-    auto markUndetermined = [&] {
-        bool any = false;
-        for (size_t i = 0; i < _loadSites.size(); ++i) {
-            const Site &sv = scratch.sites[site(_loadSites[i].first,
-                                                _loadSites[i].second)];
-            scratch.seeded[i] =
-                (sv.known & Executed) && !(sv.known & KnownData);
-            any |= scratch.seeded[i] != 0;
+    // cycle): try each seed value for the whole set, every attempt
+    // starting over from this unseeded fixpoint, and keep the first
+    // consistent one.
+    bool undetermined = false;
+    for (size_t i = 0; i < _loadSites.size(); ++i) {
+        const Site &sv = scratch.sites[site(_loadSites[i].first,
+                                            _loadSites[i].second)];
+        if ((sv.known & Executed) && !(sv.known & KnownData)) {
+            scratch.seeded[i] = 1;
+            undetermined = true;
         }
-        return any;
-    };
-    if (markUndetermined() && !_options.seedValues.empty()) {
+    }
+    if (undetermined && !_options.seedValues.empty()) {
+        scratch.unseeded = scratch.sites;
+        bool resolved = false;
         for (Value seed : _options.seedValues) {
-            markUndetermined();
+            scratch.sites = scratch.unseeded;
             runFixpoint(rf, scratch, seed);
-            if (loadsConsistent(rf, scratch.sites))
+            if (loadsConsistent(rf, scratch.sites)) {
+                resolved = true;
                 break;
-            std::fill(scratch.seeded.begin(), scratch.seeded.end(), 0);
+            }
         }
+        if (!resolved)
+            return false;
     }
 
     // Final validation and trace construction.

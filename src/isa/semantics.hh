@@ -134,6 +134,16 @@ evalRmwStored(const Instruction &instr, Value old_value, Value src2)
     }
 }
 
+/**
+ * Does the value an RMW leaves in memory depend on the value it loaded?
+ * AMOSWAP stores its operand whatever it read.
+ */
+inline bool
+rmwStoredReadsOld(const Instruction &instr)
+{
+    return instr.op != Opcode::AMOSWAP;
+}
+
 /** Effective address of a memory instruction. */
 inline Addr
 effectiveAddr(const Instruction &instr, Value base)

@@ -135,6 +135,47 @@ TEST(AxiomaticOota, LoadValueAloneAdmitsOota)
     EXPECT_TRUE(checker.isAllowed());
 }
 
+TEST(AxiomaticOota, EverySeedIsTriedFromTheUnseededFixpoint)
+{
+    // T0: ld r1,[a]; st [b],r1   T1: ld r2,[b]; ori r3,r2,2; st [a],r3
+    // with both loads reading the other thread's store: a value cycle
+    // only the condition's constants (1 and 2) can seed.  Seed 1 is
+    // inconsistent (a gets 1|2 = 3); seed 2 is a fixpoint (2|2 = 2).
+    // Each seed must start over from the unseeded fixpoint: carrying
+    // seed 1's state into the next attempt settled on 3, a value that
+    // is neither a seed nor written by the program.
+    using isa::ProgramBuilder;
+    LitmusTest test = litmus::LitmusBuilder("seed_retry", "none")
+        .location("a", litmus::LOC_A).location("b", litmus::LOC_B)
+        .thread(ProgramBuilder()
+                    .li(R(8), litmus::LOC_A).li(R(9), litmus::LOC_B)
+                    .ld(R(1), R(8)).st(R(9), R(1))
+                    .build())
+        .thread(ProgramBuilder()
+                    .li(R(8), litmus::LOC_A).li(R(9), litmus::LOC_B)
+                    .ld(R(2), R(9))
+                    .aluImm(isa::Opcode::ORI, R(3), R(2), 2)
+                    .st(R(8), R(3))
+                    .build())
+        .requireReg(0, R(1), 1).requireReg(1, R(2), 2)
+        .done();
+    Options opts;
+    opts.enforceInstOrder = false;
+    opts = withConditionSeeds(test, opts);
+    Checker pruned(test, ModelKind::GAM, opts);
+    const litmus::OutcomeSet got = pruned.enumerate();
+    EXPECT_EQ(litmus::toString(got),
+              "0:r1=0 0:r8=4096 0:r9=4104 1:r2=0 1:r3=2 1:r8=4096 "
+              "1:r9=4104 | [0x1000]=2 [0x1008]=0\n"
+              "0:r1=2 0:r8=4096 0:r9=4104 1:r2=0 1:r3=2 1:r8=4096 "
+              "1:r9=4104 | [0x1000]=2 [0x1008]=2\n"
+              "0:r1=2 0:r8=4096 0:r9=4104 1:r2=2 1:r3=2 1:r8=4096 "
+              "1:r9=4104 | [0x1000]=2 [0x1008]=2\n");
+    EXPECT_FALSE(pruned.isAllowed());
+    Checker legacy(test, ModelKind::GAM, opts);
+    EXPECT_EQ(legacy.enumerateLegacy(), got);
+}
+
 TEST(AxiomaticOota, InstOrderRejectsOota)
 {
     Checker checker(testByName("oota"), ModelKind::GAM);

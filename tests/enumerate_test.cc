@@ -238,13 +238,23 @@ forEachRfMap(const LitmusTest &test, CandidateBuilder::Scratch &scratch,
 }
 
 /**
- * The digest of candidate production over goldenTests(), recorded
- * before computeExecution() moved to flat site tables and caller-owned
- * scratch.  The pruned-vs-legacy parity suites cannot catch a builder
- * bug (both sides call the same builder); this pins its output.
+ * The digest of candidate production over goldenTests(): 21,071 rf
+ * maps, GoldenAccepted of them value-consistent.  The pruned-vs-legacy
+ * parity suites cannot catch a builder bug (both sides call the same
+ * builder); this pins its output.
+ *
+ * The flat-table rewrite of computeExecution() reproduced the digest
+ * recorded before it, 0x933b5a3de4e4e343 over 14,675 value-consistent
+ * maps.  Starting every seed attempt from the unseeded fixpoint then
+ * lost maps whose cycle the old carry-over had resolved, so the
+ * fixpoint learned three value-independent cases (a swap's stored
+ * value, x ^ x and x - x, a branch on x ? x).  Against the old digest
+ * the 74 maps that changed are all newly value-consistent; none was
+ * lost.
  */
-constexpr uint64_t GoldenDigest = 0x933b5a3de4e4e343ull;
+constexpr uint64_t GoldenDigest = 0x18bffda0f13d3aaeull;
 constexpr size_t GoldenTests = 434;
+constexpr size_t GoldenAccepted = 14749;
 
 TEST(Enumerate, CandidateProductionMatchesTheGoldenDigest)
 {
@@ -253,13 +263,16 @@ TEST(Enumerate, CandidateProductionMatchesTheGoldenDigest)
 
     // A fresh scratch per test.
     StateHasher fresh;
+    size_t accepted = 0;
     for (const LitmusTest &test : tests) {
         CandidateBuilder::Scratch scratch;
         forEachRfMap(test, scratch, [&](bool ok) {
             hashExecution(fresh, ok, scratch.exec);
+            accepted += ok;
         });
     }
     EXPECT_EQ(fresh.digest(), GoldenDigest);
+    EXPECT_EQ(accepted, GoldenAccepted);
 
     // One long-lived scratch across tests of every size, visited
     // largest-first and then in order, must give the same results.
