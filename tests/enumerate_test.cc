@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <map>
 #include <set>
 #include <sstream>
@@ -28,6 +31,28 @@
 #include "litmus/parser.hh"
 #include "litmus/suite.hh"
 #include "model/engine.hh"
+
+namespace
+{
+
+/** Heap allocations made while countAllocations is set. */
+std::atomic<bool> countAllocations{false};
+std::atomic<size_t> allocations{0};
+
+} // anonymous namespace
+
+// This binary replaces the global operator new so tests can count the
+// heap traffic of a code region.  It allocates with malloc(), which the
+// standard library's operator delete frees.
+void *
+operator new(std::size_t size)
+{
+    if (countAllocations.load(std::memory_order_relaxed))
+        allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
 
 namespace gam::axiomatic
 {
@@ -293,6 +318,63 @@ TEST(Enumerate, CandidateProductionMatchesTheGoldenDigest)
         });
     }
     EXPECT_EQ(reused.digest(), GoldenDigest);
+}
+
+TEST(Enumerate, WarmCandidateProductionAllocatesNothing)
+{
+    // Once a scratch has seen a test, computeExecution() rewrites its
+    // buffers in place: a second pass over every rf map allocates
+    // nothing.  Counting starts after the first call of that pass.
+    for (const LitmusTest &test : goldenTests()) {
+        CandidateBuilder::Scratch scratch;
+        forEachRfMap(test, scratch, [](bool) {});
+        allocations = 0;
+        forEachRfMap(test, scratch,
+                     [](bool) { countAllocations = true; });
+        countAllocations = false;
+        ASSERT_EQ(allocations.load(), 0u) << test.name;
+    }
+
+    // The enumerator's walk reuses its scratch and per-epoch tables
+    // across the rf stream: a whole run allocates a bounded number of
+    // times (its setup and warm-up), far fewer than it has rf maps.
+    // The filter vetoes every coherence extension, so the walk reaches
+    // the coherence search and records no outcome.
+    struct VetoPushes final : IncrementalFilter
+    {
+        bool
+        pushStore(const CandidateExecution &, isa::Addr, int) override
+        {
+            return false;
+        }
+        bool accept(const CandidateExecution &) override { return true; }
+    };
+    const std::vector<LitmusTest> tests = goldenTests();
+    const LitmusTest *biggest = nullptr;
+    uint64_t most = 0;
+    for (const LitmusTest &test : tests) {
+        const CandidateBuilder builder(test, {});
+        uint64_t maps = 1;
+        for (const auto &c : builder.rfChoices())
+            maps *= c.size();
+        if (maps > most) {
+            most = maps;
+            biggest = &test;
+        }
+    }
+    ASSERT_NE(biggest, nullptr);
+    CandidateEnumerator enumerator(*biggest, {});
+    const FilterFactory veto = [] {
+        return std::make_unique<VetoPushes>();
+    };
+    enumerator.run(veto); // registers the metrics, warms the allocator
+    allocations = 0;
+    countAllocations = true;
+    enumerator.run(veto);
+    countAllocations = false;
+    EXPECT_GE(enumerator.stats().valueConsistent, 100u) << biggest->name;
+    EXPECT_LT(allocations.load(), enumerator.stats().valueConsistent / 4)
+        << biggest->name;
 }
 
 TEST(Enumerate, ShapeEpochMovesOnlyWithThePathOrAnAddress)
