@@ -63,10 +63,10 @@ enum class Reject {
  * owns a board with one lane; enumerateModels() hands one board to
  * every lane of a fused pass.
  *
- * Per rf epoch the board holds the model-independent tables every lane
- * needs: each event's rf source node, each thread's first event and
- * the hash of each thread's executed shape (and of its rf sources, for
- * ARM).  Per filter callback it holds each lane's verdict and why the
+ * The board holds the model-independent tables every lane needs: per
+ * shape epoch each thread's first event and the hash of its executed
+ * shape, per rf epoch the hash of each thread's rf sources (for ARM).
+ * Per filter callback it holds each lane's verdict and why the
  * lanes that rejected did so, which gives two sharing rules.  A lane's
  * constraint graph is its ppo base plus edges that depend on the
  * candidate alone, so:
@@ -126,22 +126,6 @@ struct LaneBoard
             for (size_t v = n; v-- > 0;)
                 firstNode[size_t(cand.events[v].tid)] = uint32_t(v);
         }
-        // A load's source is a store of its own address.
-        srcNode.assign(n, -1);
-        for (size_t v = 0; v < n; ++v) {
-            const CandidateEvent &ev = cand.events[v];
-            if (!ev.isLoad || ev.rf == InitStore)
-                continue;
-            const int ai = cand.coOrder.indexOf(ev.addr);
-            GAM_ASSERT(ai >= 0, "rf store missing");
-            for (int s : cand.coOrder.stores(size_t(ai))) {
-                if (cand.events[size_t(s)].sid == ev.rf) {
-                    srcNode[v] = s;
-                    break;
-                }
-            }
-            GAM_ASSERT(srcNode[v] >= 0, "rf store missing");
-        }
         if (!withShapes)
             return;
         if (newShape) {
@@ -175,20 +159,18 @@ struct LaneBoard
     // ---- per rf epoch, model-independent
     bool valid = false;
     uint64_t epoch = 0;
+    /** Per thread: hash of its loads' rf sources. */
+    std::vector<uint64_t> rfKey;
+
+    // ---- per shape epoch, model-independent
     /** The shape epoch firstNode and shapeKey were built for. */
     uint64_t shape = 0;
     /** shapeKey holds this shape's hashes. */
     bool hashed = false;
-    /** Per event: the node its load side reads from, -1 = initial. */
-    std::vector<int> srcNode;
-    // ---- per shape epoch
     /** Per thread: the event index of its first memory access. */
     std::vector<uint32_t> firstNode;
     /** Per thread: hash of the executed instructions and addresses. */
     std::vector<uint64_t> shapeKey;
-    // ---- per rf epoch again
-    /** Per thread: hash of its loads' rf sources. */
-    std::vector<uint64_t> rfKey;
 
     // ---- per lane, per epoch
     /** Each lane's ppo base over the events. */
@@ -298,7 +280,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
                         return reject(Reject::Cycle);
                 }
             } else {
-                const size_t s = size_t(board.srcNode[l]);
+                const size_t s = size_t(ld.rfEvent);
                 if (!poBefore(cand, s, l) && !addEdge(s, l))
                     return reject(Reject::Cycle);
             }
@@ -344,7 +326,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
                 if (p.size() != 1) // something precedes the write
                     return reject(Reject::ModelFree);
             } else if (p.size() < 2
-                       || p[p.size() - 2] != board.srcNode[v]) {
+                       || p[p.size() - 2] != ev.rfEvent) {
                 return reject(Reject::ModelFree); // not co-adjacent
             }
         }
@@ -357,7 +339,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
             if (!ld.isLoad || ld.addr != addr || l == v
                 || ld.rf == InitStore) // handled in beginRf
                 continue;
-            const int src = board.srcNode[l];
+            const int src = ld.rfEvent;
             if (src == eventIdx)
                 continue; // stores after the source arrive later
             const bool source_placed_before =
@@ -675,12 +657,6 @@ Checker::checkCandidate(
         }
     }
 
-    // Map store id -> node.
-    std::map<StoreId, int> nodeOfStore;
-    for (size_t v = 0; v < n; ++v)
-        if (events[v].isStore)
-            nodeOfStore[events[v].sid] = int(v);
-
     auto po_before = [&](int s, int l) {
         return events[s].tid == events[l].tid
             && events[s].traceIdx < events[l].traceIdx;
@@ -734,11 +710,8 @@ Checker::checkCandidate(
             if (ev.rf == InitStore) {
                 if (pos != 0)
                     return; // something intervened before the write
-            } else {
-                auto sit = nodeOfStore.find(ev.rf);
-                GAM_ASSERT(sit != nodeOfStore.end(), "rf store missing");
-                if (pos == 0 || p[pos - 1] != sit->second)
-                    return; // read and write are not co-adjacent
+            } else if (pos == 0 || p[pos - 1] != ev.rfEvent) {
+                return; // read and write are not co-adjacent
             }
         }
 
@@ -760,9 +733,7 @@ Checker::checkCandidate(
                     edge(int(v), s);
                 }
             } else {
-                auto sit = nodeOfStore.find(ld.rf);
-                GAM_ASSERT(sit != nodeOfStore.end(), "rf store missing");
-                int s = sit->second;
+                const int s = ld.rfEvent;
                 if (!po_before(s, int(v)))
                     edge(s, int(v));
                 // Stores coherence-after the source must be outside C(L).

@@ -723,6 +723,14 @@ collectCandidateEvents(
             out.push_back(ev);
         }
     }
+    for (CandidateEvent &ld : out) {
+        if (!ld.isLoad || ld.rf == InitStore)
+            continue;
+        for (size_t s = 0; s < out.size(); ++s)
+            if (out[s].isStore && out[s].sid == ld.rf)
+                ld.rfEvent = int(s);
+        GAM_ASSERT(ld.rfEvent >= 0, "rf store missing");
+    }
 }
 
 namespace

@@ -12,7 +12,9 @@
  *    one read-from guess into committed thread traces (or rejects it as
  *    value-inconsistent), and computes the static per-load feasible
  *    source sets that let the search skip read-from maps whose
- *    addresses can never match.
+ *    addresses can never match.  The builder is immutable after
+ *    construction; each call works in a caller-owned
+ *    CandidateBuilder::Scratch, so workers share one builder.
  *
  *  - CandidateEnumerator drives the search.  The default, incremental
  *    mode follows herd-style tools (Alglave et al., Herding Cats):
@@ -21,7 +23,10 @@
  *    moment a partial candidate can no longer be completed legally --
  *    pruning whole factorial subtrees instead of materializing them.
  *    Top-level read-from prefixes are searched in parallel on the
- *    shared ThreadPool.
+ *    shared ThreadPool.  Each worker owns its scratch and derived
+ *    tables for its whole share of the rf stream, rebuilding the
+ *    per-shape ones (store sets per address, suffix counts) only when
+ *    the shape epoch moves; once warm it allocates nothing per rf map.
  *
  *  - IncrementalFilter is how a model plugs into the pruned search:
  *    monotone "can any completion still pass?" callbacks at each
@@ -142,6 +147,8 @@ struct CandidateEvent
     isa::Value value;    ///< value the event supplies to memory/readers
     model::StoreId sid;  ///< store side: own id (InitStore otherwise)
     model::StoreId rf;   ///< load side: read-from source (or InitStore)
+    /** Load side: the event index of the rf source; -1 = initial. */
+    int rfEvent = -1;
 };
 
 /**

@@ -814,14 +814,7 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
             const int ai = co.indexOf(ev.addr);
             if (ai < 0)
                 continue;
-            int src = -1;
-            if (ev.rf != model::InitStore) {
-                for (int s : co.stores(size_t(ai)))
-                    if (cand.events[size_t(s)].sid == ev.rf)
-                        src = s;
-                GAM_ASSERT(src >= 0, "rf store missing");
-            }
-            loadsByAddr[size_t(ai)].push_back({viewOfCand[c], src});
+            loadsByAddr[size_t(ai)].push_back({viewOfCand[c], ev.rfEvent});
         }
 
         if (needCoRel) {

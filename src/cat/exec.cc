@@ -212,21 +212,13 @@ ExecBuilder::rebuildShape(const CandidateExecution &cand)
 void
 ExecBuilder::rebuildRf(const CandidateExecution &cand)
 {
-    // Reads of the initial memory carry no edge; a load's source is a
-    // store of its own address.
+    // Reads of the initial memory carry no edge.
     v.rf.reset(v.n);
     for (size_t c = 0; c < cand.events.size(); ++c) {
         const auto &ev = cand.events[c];
-        if (!ev.isLoad || ev.rf == model::InitStore)
-            continue;
-        int src = -1;
-        const int ai = cand.coOrder.indexOf(ev.addr);
-        if (ai >= 0)
-            for (int s : cand.coOrder.stores(size_t(ai)))
-                if (cand.events[size_t(s)].sid == ev.rf)
-                    src = s;
-        GAM_ASSERT(src >= 0, "rf store missing");
-        v.rf.set(size_t(eventOfCand[size_t(src)]), size_t(eventOfCand[c]));
+        if (ev.isLoad && ev.rfEvent >= 0)
+            v.rf.set(size_t(eventOfCand[size_t(ev.rfEvent)]),
+                     size_t(eventOfCand[c]));
     }
 }
 
