@@ -107,15 +107,15 @@ struct LaneBoard
 
     /**
      * Rebuild the per-epoch tables if @p cand starts a new epoch; the
-     * per-shape ones only when its shape epoch moved too.
+     * per-shape ones only when its shape epoch moved too.  Every lane
+     * of one board passes the same @p withShapes.
      */
     void
     refresh(const CandidateExecution &cand, bool withShapes)
     {
         if (valid && epoch == cand.rfEpoch)
             return;
-        const bool newShape = !valid || shape != cand.shapeEpoch
-            || (withShapes && !hashed);
+        const bool newShape = !valid || shape != cand.shapeEpoch;
         valid = true;
         epoch = cand.rfEpoch;
         shape = cand.shapeEpoch;
@@ -129,7 +129,6 @@ struct LaneBoard
         if (!withShapes)
             return;
         if (newShape) {
-            hashed = true;
             shapeKey.assign(nthreads, 0);
             for (size_t tid = 0; tid < nthreads; ++tid) {
                 StateHasher h;
@@ -165,8 +164,6 @@ struct LaneBoard
     // ---- per shape epoch, model-independent
     /** The shape epoch firstNode and shapeKey were built for. */
     uint64_t shape = 0;
-    /** shapeKey holds this shape's hashes. */
-    bool hashed = false;
     /** Per thread: the event index of its first memory access. */
     std::vector<uint32_t> firstNode;
     /** Per thread: hash of the executed instructions and addresses. */

@@ -412,19 +412,15 @@ CandidateBuilder::commitTraces(const std::vector<StoreId> &rf,
                                Scratch &scratch) const
 {
     // Written in place over the previous call's traces: the shape
-    // epoch bumps at the first entry whose static index or address
-    // differs, and whenever a thread's length changes.
+    // epoch bumps (once) at the first entry whose static index or
+    // address differs, or when a thread's length changes.
     bool shapeChanged = false;
-    struct Bump
-    {
-        Scratch &scratch;
-        const bool &changed;
-        ~Bump()
-        {
-            if (changed)
-                ++scratch.shapeEpoch;
+    auto markChanged = [&] {
+        if (!shapeChanged) {
+            shapeChanged = true;
+            ++scratch.shapeEpoch;
         }
-    } bump{scratch, shapeChanged};
+    };
 
     const std::vector<Site> &sites = scratch.sites;
     for (size_t tid = 0; tid < _test.threads.size(); ++tid) {
@@ -437,12 +433,12 @@ CandidateBuilder::commitTraces(const std::vector<StoreId> &rf,
                           StoreId rf_src) {
             if (k < te.trace.size()) {
                 if (te.executedIdx[k] != idx || te.trace[k].addr != ti.addr)
-                    shapeChanged = true;
+                    markChanged();
                 te.executedIdx[k] = idx;
                 te.trace[k] = ti;
                 te.rfTrace[k] = rf_src;
             } else {
-                shapeChanged = true;
+                markChanged();
                 te.executedIdx.push_back(idx);
                 te.trace.push_back(ti);
                 te.rfTrace.push_back(rf_src);
@@ -509,7 +505,7 @@ CandidateBuilder::commitTraces(const std::vector<StoreId> &rf,
             idx = next_idx;
         }
         if (k != te.trace.size()) {
-            shapeChanged = true;
+            markChanged();
             te.executedIdx.resize(k);
             te.trace.resize(k);
             te.rfTrace.resize(k);
@@ -913,8 +909,8 @@ CandidateEnumerator::searchRfRange(size_t prefixLoads,
 
     std::vector<StoreId> rf(nloads, InitStore);
     // One context for the whole range: the builder scratch and the
-    // per-epoch tables are reused across the millions of rf maps a
-    // campaign iterates.
+    // per-epoch tables are reused across its rf maps (in a serial
+    // search, the millions of a campaign test).
     SearchCtx ctx{.filter = filter,
                   .outcomes = outcomes,
                   .stats = stats,

@@ -23,10 +23,11 @@
  *    moment a partial candidate can no longer be completed legally --
  *    pruning whole factorial subtrees instead of materializing them.
  *    Top-level read-from prefixes are searched in parallel on the
- *    shared ThreadPool.  Each worker owns its scratch and derived
- *    tables for its whole share of the rf stream, rebuilding the
- *    per-shape ones (store sets per address, suffix counts) only when
- *    the shape epoch moves; once warm it allocates nothing per rf map.
+ *    shared ThreadPool.  Each rf range -- the whole stream when the
+ *    search is serial, one top-level prefix otherwise -- owns a
+ *    scratch and derived tables, rebuilding the per-shape ones (store
+ *    sets per address, suffix counts) only when the shape epoch
+ *    moves; once warm it allocates nothing per rf map.
  *
  *  - IncrementalFilter is how a model plugs into the pruned search:
  *    monotone "can any completion still pass?" callbacks at each
@@ -112,7 +113,9 @@ struct CheckerStats
      * Value-consistent rf maps whose shape (executed instruction path
      * or a resolved address) differed from the previous one's, so the
      * walk rebuilt its per-shape tables.  rf_candidates over this is
-     * the reuse rate of those tables.
+     * the reuse rate of those tables.  Every rf range starts cold, so
+     * a parallel search (searchThreads > 1, one range per prefix)
+     * counts more of them than a serial one.
      */
     uint64_t shapeChanges = 0;
 
@@ -377,12 +380,12 @@ class CandidateBuilder
 
     /**
      * Caller-owned working memory and result of computeExecution().
-     * The builder keeps nothing per call, so workers share one builder
-     * and each owns a Scratch (the enumerator keeps one per search
-     * worker); a Scratch must not be used by two threads at once.  It
-     * may be reused across builders, i.e. tests of any size: the first
-     * call under a new builder resets it.  Every buffer keeps its
-     * capacity, so once warm a call allocates nothing.
+     * The builder keeps nothing per call, so workers share one
+     * builder and each owns a Scratch (the enumerator keeps one per rf
+     * range it searches); a Scratch must not be used by two threads at
+     * once.  It may be reused across builders, i.e. tests of any size:
+     * the first call under a new builder resets it.  Every buffer
+     * keeps its capacity, so once warm a call allocates nothing.
      */
     struct Scratch
     {
@@ -577,7 +580,7 @@ class CandidateEnumerator
      */
     void prepareEpoch(Walk &walk, CheckerStats &stats) const;
 
-    /** Enumerate the rf maps extending @p prefix; one worker's share. */
+    /** Enumerate the rf maps extending @p prefix, in one Walk. */
     void searchRfRange(size_t prefixLoads, uint64_t prefixIndex,
                        IncrementalFilter &filter,
                        litmus::OutcomeSet &outcomes,

@@ -8,6 +8,8 @@
 #include <set>
 
 #include "axiomatic/checker.hh"
+#include "campaign/enumerate.hh"
+#include "litmus/generator.hh"
 #include "litmus/suite.hh"
 
 namespace gam::axiomatic
@@ -174,6 +176,127 @@ TEST(AxiomaticOota, EverySeedIsTriedFromTheUnseededFixpoint)
     EXPECT_FALSE(pruned.isAllowed());
     Checker legacy(test, ModelKind::GAM, opts);
     EXPECT_EQ(legacy.enumerateLegacy(), got);
+}
+
+/** LoadValue alone (no InstOrder), seeded with the condition's values. */
+litmus::OutcomeSet
+loadValueOnlyOutcomes(const LitmusTest &test)
+{
+    Options opts;
+    opts.enforceInstOrder = false;
+    opts = withConditionSeeds(test, opts);
+    Checker pruned(test, ModelKind::GAM, opts);
+    const litmus::OutcomeSet got = pruned.enumerate();
+    Checker legacy(test, ModelKind::GAM, opts);
+    EXPECT_EQ(legacy.enumerateLegacy(), got) << test.name;
+    return got;
+}
+
+TEST(AxiomaticOota, ZeroingIdiomBreaksAValueCycle)
+{
+    // The campaign test camp_rfea_data_poa_coea: T1 loads a, stores
+    // (r1 ^ r1) + 2 = 2 to a, then 3.  Its load may read its own
+    // po-later store of 2 under LoadValue alone; that store's value is
+    // 2 whatever the load returns, so no seed is needed to find
+    // 1:r1=2.
+    campaign::EnumerateOptions universe;
+    universe.maxLen = 4;
+    universe.canonical = campaign::CanonicalForm::Full;
+    std::optional<LitmusTest> test;
+    campaign::enumerateCycles(
+        universe, [&](const campaign::CanonicalCycle &cycle) {
+            if (cycle.name != "camp_rfea_data_poa_coea")
+                return true;
+            test = litmus::testFromCycle(cycle.name, cycle.edges,
+                                         cycle.numLocations);
+            return false;
+        });
+    ASSERT_TRUE(test.has_value());
+    EXPECT_EQ(litmus::toString(loadValueOnlyOutcomes(*test)),
+              "1:r1=0 | [0x1000]=1\n"
+              "1:r1=0 | [0x1000]=2\n"
+              "1:r1=0 | [0x1000]=3\n"
+              "1:r1=1 | [0x1000]=1\n"
+              "1:r1=1 | [0x1000]=2\n"
+              "1:r1=1 | [0x1000]=3\n"
+              "1:r1=2 | [0x1000]=1\n"
+              "1:r1=2 | [0x1000]=2\n"
+              "1:r1=2 | [0x1000]=3\n"
+              "1:r1=3 | [0x1000]=1\n"
+              "1:r1=3 | [0x1000]=2\n"
+              "1:r1=3 | [0x1000]=3\n");
+}
+
+TEST(AxiomaticOota, SubtractingARegisterFromItselfBreaksAValueCycle)
+{
+    // T0: ld r1,[a]; sub r2,r1,r1; addi r3,r2,2; st [a],r3.  The load
+    // may read the po-later store, whose value is 2 whatever it reads.
+    using isa::ProgramBuilder;
+    LitmusTest test = litmus::LitmusBuilder("sub_self", "none")
+        .location("a", litmus::LOC_A)
+        .thread(ProgramBuilder()
+                    .li(R(8), litmus::LOC_A)
+                    .ld(R(1), R(8))
+                    .sub(R(2), R(1), R(1))
+                    .addi(R(3), R(2), 2)
+                    .st(R(8), R(3))
+                    .build())
+        .requireReg(0, R(1), 1)
+        .done();
+    EXPECT_EQ(litmus::toString(loadValueOnlyOutcomes(test)), "0:r1=0 0:r2=0 0:r3=2 0:r8=4096 | [0x1000]=2\n"
+              "0:r1=2 0:r2=0 0:r3=2 0:r8=4096 | [0x1000]=2\n");
+}
+
+TEST(AxiomaticOota, SelfComparingBranchBreaksAValueCycle)
+{
+    // T0: ld r1,[a]; beq r1,r1,L; st [a],r9; L: li r2,2; st [a],r2.
+    // Whether the store of 2 executes depends on a branch on r1, but
+    // beq r1,r1 is taken whatever r1 holds, so the load may read that
+    // po-later store without a seed.
+    using isa::ProgramBuilder;
+    LitmusTest test = litmus::LitmusBuilder("beq_self", "none")
+        .location("a", litmus::LOC_A)
+        .thread(ProgramBuilder()
+                    .li(R(8), litmus::LOC_A)
+                    .li(R(9), 5)
+                    .ld(R(1), R(8))
+                    .beq(R(1), R(1), "L")
+                    .st(R(8), R(9))
+                    .label("L")
+                    .li(R(2), 2)
+                    .st(R(8), R(2))
+                    .build())
+        .requireReg(0, R(1), 1)
+        .done();
+    EXPECT_EQ(litmus::toString(loadValueOnlyOutcomes(test)), "0:r1=0 0:r2=2 0:r8=4096 0:r9=5 | [0x1000]=2\n"
+              "0:r1=2 0:r2=2 0:r8=4096 0:r9=5 | [0x1000]=2\n");
+}
+
+TEST(AxiomaticOota, SwapStoredValueBreaksAValueCycle)
+{
+    // T0: amoswap r1,[a],r5 (r5 = 1)   T1: ld r2,[a]; addi r3,r2,1;
+    // st [a],r3.  With T1 reading the swap and the swap reading T1's
+    // store, the values form a cycle, but a swap writes its operand
+    // whatever it loads: r2 = 1, so the swap loads 2.
+    using isa::ProgramBuilder;
+    LitmusTest test = litmus::LitmusBuilder("swap_cycle", "none")
+        .location("a", litmus::LOC_A)
+        .thread(ProgramBuilder()
+                    .li(R(8), litmus::LOC_A).li(R(5), 1)
+                    .rmw(isa::Opcode::AMOSWAP, R(1), R(8), R(5))
+                    .build())
+        .thread(ProgramBuilder()
+                    .li(R(8), litmus::LOC_A)
+                    .ld(R(2), R(8))
+                    .addi(R(3), R(2), 1)
+                    .st(R(8), R(3))
+                    .build())
+        .requireReg(0, R(1), 3).requireReg(1, R(2), 3)
+        .done();
+    EXPECT_EQ(litmus::toString(loadValueOnlyOutcomes(test)), "0:r1=0 0:r5=1 0:r8=4096 1:r2=0 1:r3=1 1:r8=4096 | [0x1000]=1\n"
+              "0:r1=0 0:r5=1 0:r8=4096 1:r2=1 1:r3=2 1:r8=4096 | [0x1000]=2\n"
+              "0:r1=1 0:r5=1 0:r8=4096 1:r2=0 1:r3=1 1:r8=4096 | [0x1000]=1\n"
+              "0:r1=2 0:r5=1 0:r8=4096 1:r2=1 1:r3=2 1:r8=4096 | [0x1000]=1\n");
 }
 
 TEST(AxiomaticOota, InstOrderRejectsOota)

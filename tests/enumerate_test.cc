@@ -39,19 +39,89 @@ namespace
 std::atomic<bool> countAllocations{false};
 std::atomic<size_t> allocations{0};
 
-} // anonymous namespace
-
-// This binary replaces the global operator new so tests can count the
-// heap traffic of a code region.  It allocates with malloc(), which the
-// standard library's operator delete frees.
 void *
-operator new(std::size_t size)
+countedAlloc(std::size_t size) noexcept
 {
     if (countAllocations.load(std::memory_order_relaxed))
         allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
+    return std::malloc(size ? size : 1);
+}
+
+/** Out of line, so the compiler never pairs an inlined free() with new. */
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
+{
+    std::free(p);
+}
+
+} // anonymous namespace
+
+// This binary replaces the global (non-aligned) operator new and
+// delete family so tests can count the heap traffic of a code region.
+// Every form allocates with malloc() and frees with free(), so a
+// sanitizer's allocator never sees a new/delete pair split between
+// its own operators and these.  The aligned forms are left alone:
+// they are replaced as a pair or not at all.
+void *
+operator new(std::size_t size)
+{
+    if (void *p = countedAlloc(size))
         return p;
     throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    countedFree(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    countedFree(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    countedFree(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    countedFree(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    countedFree(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    countedFree(p);
 }
 
 namespace gam::axiomatic
